@@ -61,7 +61,6 @@ func BenchmarkE14Congestion(b *testing.B)          { benchExperiment(b, "E14") }
 
 func BenchmarkHealDeletion(b *testing.B)        { benchcases.HealDeletion(b) }
 func BenchmarkHealthPoll(b *testing.B)          { benchcases.HealthPoll(b) }
-func BenchmarkHealthPollSlow(b *testing.B)      { benchcases.HealthPollSlow(b) }
 func BenchmarkIngestArray(b *testing.B)         { benchcases.IngestArray(b) }
 func BenchmarkApplyBatchSerial(b *testing.B)    { benchcases.ApplyBatchSerial(b) }
 func BenchmarkApplyBatchParallel(b *testing.B)  { benchcases.ApplyBatchParallel(b) }

@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		parScaling = fs.String("parallel-scaling", "", "measure ApplyBatchParallel throughput at GOMAXPROCS 1/2/4/8 and write the curve to this JSON file (see BENCH_PR8.json)")
 
-		scale          = fs.String("scale", "", "comma-separated network sizes (e.g. 10000,100000): measure serving-path latency/throughput before vs after the incremental-metrics layer (see BENCH_PR10.json)")
+		scale          = fs.String("scale", "", "comma-separated network sizes (e.g. 10000,100000): measure the serving daemon's health-poll latency, array-ingest throughput and λ₂ refresh cost at each size")
 		scaleEvents    = fs.Int("scale-events", 8192, "scale: events ingested through the array path per size")
 		scaleOut       = fs.String("scale-out", "", "scale: write the report to this JSON file")
 		scaleSloHealth = fs.Float64("scale-slo-health-p99-ms", 0, "scale: fail if live health-poll p99 exceeds this at the largest size (0 = no gate)")

@@ -25,10 +25,10 @@ import (
 )
 
 // The -scale mode records the serving daemon's large-n envelope: health-poll
-// latency on the incremental path vs the clone-and-measure path, ingest
-// throughput for single-event POSTs vs batched arrays, and λ₂ refresh cost
-// cold vs warm-started — the before/after evidence behind BENCH_PR10.json.
-// Optional SLO flags turn the run into a CI gate.
+// latency, array-ingest throughput, and λ₂ refresh cost cold vs warm-started.
+// (BENCH_PR10.json was recorded by an earlier form of this mode that also
+// measured the since-removed clone-and-measure health path and single-event
+// POSTs as a "before" leg.) Optional SLO flags turn the run into a CI gate.
 
 // scalePoint is one network size's measurements.
 type scalePoint struct {
@@ -42,25 +42,16 @@ type scalePoint struct {
 	Lambda2Warm        float64 `json:"lambda2_warm"`
 	Lambda2WarmSeconds float64 `json:"lambda2_warm_seconds"`
 
-	// Health-poll latency, slow (SlowHealth: clone + full measure) vs live
-	// (tracker + caches). Few slow polls at large n — each costs seconds.
-	SlowHealthPolls int     `json:"slow_health_polls"`
-	SlowHealthP50MS float64 `json:"slow_health_p50_ms"`
-	SlowHealthP99MS float64 `json:"slow_health_p99_ms"`
+	// Health-poll latency (tracker + caches), in-process on the idle daemon.
 	LiveHealthPolls int     `json:"live_health_polls"`
 	LiveHealthP50MS float64 `json:"live_health_p50_ms"`
 	LiveHealthP99MS float64 `json:"live_health_p99_ms"`
-	HealthSpeedup   float64 `json:"health_p99_speedup"`
 
-	// Ingest throughput over HTTP: one event per POST (the per-event
-	// synchronization regime) vs 256-event arrays (one admission-ring
-	// reservation per array).
-	SingleIngestEvents int     `json:"single_ingest_events"`
-	SingleIngestEPS    float64 `json:"single_ingest_events_per_sec"`
-	ArrayIngestEvents  int     `json:"array_ingest_events"`
-	ArrayLen           int     `json:"array_len"`
-	ArrayIngestEPS     float64 `json:"array_ingest_events_per_sec"`
-	IngestSpeedup      float64 `json:"ingest_speedup"`
+	// Ingest throughput over HTTP in 256-event arrays (one intake lock per
+	// array).
+	ArrayIngestEvents int     `json:"array_ingest_events"`
+	ArrayLen          int     `json:"array_len"`
+	ArrayIngestEPS    float64 `json:"array_ingest_events_per_sec"`
 
 	// Live-path telemetry after the run.
 	TrackerAudits        uint64 `json:"tracker_audits"`
@@ -93,11 +84,9 @@ func percentileMS(durs []time.Duration, p float64) float64 {
 }
 
 // ingestHTTP drives clients concurrent streams of conflict-free events
-// through POST /v1/events, arrayLen events per request (1 = the per-event
-// regime), and returns measured events/sec.
-// baseClient offsets the stream identities so successive phases against the
-// same engine draw from disjoint node-ID ranges.
-func ingestHTTP(url string, client *http.Client, anchors []graph.NodeID, baseClient, clients, perClient, arrayLen int, seed int64) (float64, error) {
+// through POST /v1/events, arrayLen events per request, and returns measured
+// events/sec.
+func ingestHTTP(url string, client *http.Client, anchors []graph.NodeID, clients, perClient, arrayLen int, seed int64) (float64, error) {
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	start := time.Now()
@@ -105,7 +94,7 @@ func ingestHTTP(url string, client *http.Client, anchors []graph.NodeID, baseCli
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			stream := adversary.NewClientStream(baseClient+c, anchors, 0.3, 3, seed)
+			stream := adversary.NewClientStream(c, anchors, 0.3, 3, seed)
 			sent := 0
 			for sent < perClient {
 				k := arrayLen
@@ -156,7 +145,7 @@ func ingestHTTP(url string, client *http.Client, anchors []graph.NodeID, baseCli
 	return float64(clients*perClient) / time.Since(start).Seconds(), nil
 }
 
-// measureScalePoint runs the full before/after protocol at one network size.
+// measureScalePoint runs the measurement protocol at one network size.
 func measureScalePoint(stderr io.Writer, n, events, arrayLen int) (scalePoint, error) {
 	pt := scalePoint{N: n, ArrayLen: arrayLen}
 	progress := func(format string, args ...any) {
@@ -207,57 +196,6 @@ func measureScalePoint(stderr io.Writer, n, events, arrayLen int) (scalePoint, e
 	// of O(n+m) — the sampled mode this report's serving numbers assume.
 	cfg := server.Config{QueueDepth: 4 * arrayLen * 4, RefreshEvery: 64, AuditEvery: 0, InvariantBudget: 4096}
 
-	// Before: SlowHealth daemon — clone-and-measure polls, per-event POSTs.
-	{
-		slowCfg := cfg
-		slowCfg.SlowHealth = true
-		srv := server.New(st, slowCfg)
-		ts := httptest.NewServer(srv.Handler())
-
-		singles := events / 8
-		if singles > 2000 {
-			singles = 2000
-		}
-		if singles < 256 {
-			singles = 256
-		}
-		progress("slow path: %d single-event POSTs", singles)
-		pt.SingleIngestEvents = singles
-		pt.SingleIngestEPS, err = ingestHTTP(ts.URL+"/v1/events", ts.Client(), anchors, 0, 4, singles/4, 1, 45)
-		if err != nil {
-			ts.Close()
-			srv.Close()
-			return pt, fmt.Errorf("single-event ingest: %w", err)
-		}
-
-		polls := 5_000_000 / n
-		if polls < 5 {
-			polls = 5
-		}
-		if polls > 60 {
-			polls = 60
-		}
-		progress("slow path: %d clone-and-measure health polls", polls)
-		durs := make([]time.Duration, polls)
-		for i := range durs {
-			t0 := time.Now()
-			if h := srv.Health(); h.Nodes == 0 {
-				ts.Close()
-				srv.Close()
-				return pt, fmt.Errorf("empty slow health snapshot")
-			}
-			durs[i] = time.Since(t0)
-		}
-		pt.SlowHealthPolls = polls
-		pt.SlowHealthP50MS = percentileMS(durs, 0.50)
-		pt.SlowHealthP99MS = percentileMS(durs, 0.99)
-		ts.Close()
-		if err := srv.Close(); err != nil {
-			return pt, err
-		}
-	}
-
-	// After: live daemon on the same engine — array ingest, tracker polls.
 	srv := server.New(st, cfg)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -266,7 +204,7 @@ func measureScalePoint(stderr io.Writer, n, events, arrayLen int) (scalePoint, e
 	// Let the startup refresh (cold Lanczos + stretch trees) land before
 	// timing anything: the measured window then reflects steady state, where
 	// periodic refreshes warm-start, not the one-off warm-up.
-	progress("live path: waiting for λ₂ + stretch caches")
+	progress("waiting for λ₂ + stretch caches")
 	deadline := time.Now().Add(10 * time.Minute)
 	for {
 		h := srv.Health()
@@ -279,15 +217,15 @@ func measureScalePoint(stderr io.Writer, n, events, arrayLen int) (scalePoint, e
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	progress("live path: ingesting %d events in %d-event arrays", events, arrayLen)
+	progress("ingesting %d events in %d-event arrays", events, arrayLen)
 	pt.ArrayIngestEvents = events
-	pt.ArrayIngestEPS, err = ingestHTTP(ts.URL+"/v1/events", ts.Client(), anchors, 4, 4, events/4, arrayLen, 46)
+	pt.ArrayIngestEPS, err = ingestHTTP(ts.URL+"/v1/events", ts.Client(), anchors, 4, events/4, arrayLen, 46)
 	if err != nil {
 		return pt, fmt.Errorf("array ingest: %w", err)
 	}
 
 	const livePolls = 2000
-	progress("live path: %d tracker health polls", livePolls)
+	progress("%d tracker health polls", livePolls)
 	durs := make([]time.Duration, livePolls)
 	for i := range durs {
 		t0 := time.Now()
@@ -299,12 +237,6 @@ func measureScalePoint(stderr io.Writer, n, events, arrayLen int) (scalePoint, e
 	pt.LiveHealthPolls = livePolls
 	pt.LiveHealthP50MS = percentileMS(durs, 0.50)
 	pt.LiveHealthP99MS = percentileMS(durs, 0.99)
-	if pt.LiveHealthP99MS > 0 {
-		pt.HealthSpeedup = pt.SlowHealthP99MS / pt.LiveHealthP99MS
-	}
-	if pt.SingleIngestEPS > 0 {
-		pt.IngestSpeedup = pt.ArrayIngestEPS / pt.SingleIngestEPS
-	}
 
 	h := srv.Health()
 	if h.Live != nil {
@@ -342,8 +274,8 @@ func runScale(stderr io.Writer, sizes string, events int, outPath string, sloHea
 
 	report := scaleReport{
 		Env: obs.CaptureEnv(),
-		Note: "before/after per size: SlowHealth clone-and-measure vs incremental tracker polls, " +
-			"single-event POSTs vs 256-event arrays, cold (90-step) vs warm-started (32-step) λ₂ refresh; " +
+		Note: "per size: incremental tracker health polls, 256-event array ingest, " +
+			"cold (90-step) vs warm-started (32-step) λ₂ refresh; " +
 			"single-CPU hosts serialize the 4 ingest clients, so events_per_sec there is a floor",
 	}
 	const arrayLen = 256
@@ -354,9 +286,8 @@ func runScale(stderr io.Writer, sizes string, events int, outPath string, sloHea
 			return 1
 		}
 		fmt.Fprintf(stderr,
-			"scale n=%d: health p99 %.3fms live vs %.1fms slow (%.0fx); ingest %.0f ev/s arrays vs %.0f ev/s singles (%.1fx); λ₂ %.2fs cold vs %.2fs warm\n",
-			n, pt.LiveHealthP99MS, pt.SlowHealthP99MS, pt.HealthSpeedup,
-			pt.ArrayIngestEPS, pt.SingleIngestEPS, pt.IngestSpeedup,
+			"scale n=%d: health p99 %.3fms; ingest %.0f ev/s in %d-event arrays; λ₂ %.2fs cold vs %.2fs warm\n",
+			n, pt.LiveHealthP99MS, pt.ArrayIngestEPS, arrayLen,
 			pt.Lambda2ColdSeconds, pt.Lambda2WarmSeconds)
 		report.Points = append(report.Points, pt)
 	}

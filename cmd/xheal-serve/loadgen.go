@@ -215,6 +215,11 @@ func runLoad(o options, stdout, stderr io.Writer, smoke bool) int {
 		return 1
 	}
 
+	if err := checkAudits(d, o); err != nil {
+		fmt.Fprintf(stderr, "TRACKER AUDIT: %v\n", err)
+		return 1
+	}
+
 	// SLO assertions (the CI smoke gate): dropped spans always fail; the
 	// tick-latency bound applies when set.
 	if dropped := d.rec.Dropped(); dropped != 0 {
@@ -353,6 +358,22 @@ func verifySpans(d *daemon, c server.Counters) error {
 					i, s.Node, s.Rounds, s.Messages, cl.Node, cl.Rounds, cl.Messages)
 			}
 		}
+	}
+	return nil
+}
+
+// checkAudits gates a run that asked for tracker audits (-audit-every): the
+// incremental metrics must never have diverged from a full recomputation,
+// and the oracle must actually have run.
+func checkAudits(d *daemon, o options) error {
+	if o.auditEvery <= 0 {
+		return nil
+	}
+	if err := d.srv.LiveAuditError(); err != nil {
+		return err
+	}
+	if d.srv.Health().Live.Audits == 0 {
+		return fmt.Errorf("-audit-every %d, but the run was too short for a single audit", o.auditEvery)
 	}
 	return nil
 }

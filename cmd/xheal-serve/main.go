@@ -42,7 +42,6 @@ import (
 	"net/http/pprof"
 
 	"github.com/xheal/xheal/internal/checkpoint"
-	"github.com/xheal/xheal/internal/core"
 	"github.com/xheal/xheal/internal/dist"
 	"github.com/xheal/xheal/internal/graph"
 	"github.com/xheal/xheal/internal/obs"
@@ -77,7 +76,6 @@ type options struct {
 	archiveLog     bool
 	verifyRecovery bool
 
-	slowHealth   bool
 	refreshEvery int
 	stretchSrcs  int
 	auditEvery   int
@@ -131,10 +129,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 32, "durable mode: applied ticks between checkpoints")
 	fs.BoolVar(&o.archiveLog, "archive-log", false, "durable mode: move compacted log segments to <data-dir>/log/archive instead of deleting (keeps from-genesis history)")
 	fs.BoolVar(&o.verifyRecovery, "verify-recovery", false, "durable mode: at startup, assert the recovered state is byte-identical to a from-genesis replay of the archived log")
-	fs.BoolVar(&o.slowHealth, "slow-health", false, "disable the incremental metrics layer: health polls clone and measure the graph (pre-PR-10 behavior)")
 	fs.IntVar(&o.refreshEvery, "refresh-every", 32, "applied ticks between background refreshes of cached connectivity/lambda2/stretch")
 	fs.IntVar(&o.stretchSrcs, "stretch-sources", 4, "BFS source reservoir size for the sampled-stretch estimate")
-	fs.IntVar(&o.auditEvery, "audit-every", 0, "cross-check the incremental metrics against a full recomputation every this many ticks (0 = off)")
+	fs.IntVar(&o.auditEvery, "audit-every", 0, "cross-check the incremental metrics against a full recomputation every this many ticks (0 = off; -smoke defaults to 16); load/scenario modes then fail on a divergence or if no audit ran")
 	fs.IntVar(&o.invBudget, "invariant-budget", 0, "sampled invariant checking: nodes/edges/clouds examined per check, rotating over the whole structure (0 = full sweep)")
 	fs.BoolVar(&o.smoke, "smoke", false, "self-test: start the daemon, ingest 100 events over HTTP, verify, shut down")
 	fs.BoolVar(&o.loadgen, "loadgen", false, "load generator: hammer an in-process daemon with concurrent clients")
@@ -165,6 +162,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runScenario(o, stdout, stderr)
 	case o.smoke:
 		o.clients, o.events = 1, 100
+		if !o.flagSet("audit-every") {
+			o.auditEvery = 16 // ~100 single-event ticks: the tracker's oracle runs a handful of times
+		}
 		return runLoad(o, stdout, stderr, true)
 	case o.loadgen:
 		return runLoad(o, stdout, stderr, false)
@@ -236,15 +236,19 @@ func buildDaemon(o options) (*daemon, error) {
 		QueueDepth:      o.queue,
 		MaxBatch:        o.maxBatch,
 		Parallelism:     o.parallel,
-		SlowHealth:      o.slowHealth,
 		RefreshEvery:    o.refreshEvery,
 		StretchSources:  o.stretchSrcs,
 		AuditEvery:      o.auditEvery,
 		InvariantBudget: o.invBudget,
 	}
 	var eng server.Engine
-	var closeEng func()
-	var distEng *dist.Engine
+	// A dist engine owns one goroutine per node; a seq engine has nothing
+	// to close.
+	closeEng := func() {
+		if de, ok := eng.(*dist.Engine); ok {
+			de.Close()
+		}
+	}
 	var recovered *server.Recovered
 	verified := false
 	var logFile *os.File
@@ -269,23 +273,15 @@ func buildDaemon(o options) (*daemon, error) {
 		}
 		eng = rec.Engine
 		recovered = rec
-		if de, ok := rec.Engine.(*dist.Engine); ok {
-			distEng = de
-			closeEng = de.Close
-		}
 		fl, err := trace.OpenFileLog(logDir, g0, rec.Tick, rec.Events, "")
 		if err != nil {
-			if closeEng != nil {
-				closeEng()
-			}
+			closeEng()
 			return nil, err
 		}
 		if o.verifyRecovery {
 			if err := server.VerifyRecovery(eng, engName, logDir, o.kappa, o.seed); err != nil {
 				fl.Close()
-				if closeEng != nil {
-					closeEng()
-				}
+				closeEng()
 				return nil, fmt.Errorf("verify recovery: %w", err)
 			}
 			verified = true
@@ -299,21 +295,9 @@ func buildDaemon(o options) (*daemon, error) {
 		cfg.GenesisDigest = server.GenesisDigest(g0)
 		cfg.Resume = server.Resume{Tick: rec.Tick, Events: rec.Events}
 	} else {
-		switch o.engine {
-		case "seq":
-			st, err := core.NewState(core.Config{Kappa: o.kappa, Seed: o.seed}, g0)
-			if err != nil {
-				return nil, err
-			}
-			eng = st
-		case "dist":
-			de, err := dist.NewEngine(dist.Config{Kappa: o.kappa, Seed: o.seed}, g0)
-			if err != nil {
-				return nil, err
-			}
-			eng = de
-			distEng = de
-			closeEng = de.Close
+		eng, err = server.NewEngine(engName, o.kappa, o.seed, g0)
+		if err != nil {
+			return nil, err
 		}
 		if o.eventLog != "" {
 			logFile, err = os.Create(o.eventLog)
@@ -341,6 +325,7 @@ func buildDaemon(o options) (*daemon, error) {
 		spanW = obs.NewSpanWriter(spanFile)
 		cfg.Recorder = obs.NewRecorder(spanW, obs.MustHistogram(obs.LatencyBuckets()))
 	}
+	distEng, _ := eng.(*dist.Engine)
 	d := &daemon{
 		srv:       server.New(eng, cfg),
 		eng:       eng,
@@ -360,9 +345,7 @@ func buildDaemon(o options) (*daemon, error) {
 			if logFile != nil {
 				logFile.Close()
 			}
-			if closeEng != nil {
-				closeEng()
-			}
+			closeEng()
 		},
 	}
 	return d, nil

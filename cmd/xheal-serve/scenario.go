@@ -15,7 +15,6 @@ import (
 
 	"github.com/xheal/xheal/internal/adversary"
 	"github.com/xheal/xheal/internal/checkpoint"
-	"github.com/xheal/xheal/internal/core"
 	"github.com/xheal/xheal/internal/dist"
 	"github.com/xheal/xheal/internal/graph"
 	"github.com/xheal/xheal/internal/obs"
@@ -331,6 +330,9 @@ func (r *scenarioRun) checkCommonSLOs(c server.Counters, health server.Health) {
 	if err := r.d.srv.CheckInvariants(); err != nil {
 		r.failf("SLO: invariant violation: %v", err)
 	}
+	if err := checkAudits(r.d, r.o); err != nil {
+		r.failf("SLO: tracker audit: %v", err)
+	}
 	if depth := r.d.srv.QueueDepth(); depth != 0 {
 		r.failf("queue not drained on shutdown: %d", depth)
 	}
@@ -529,9 +531,13 @@ func runScenarioFinite(o options, st *scenario.Stream, stdout, stderr io.Writer)
 
 // replayByteIdentity replays the finite run's event log one event per
 // timestep on a fresh engine of the same kind and compares engine snapshots
-// byte-for-byte with the live engine — the strongest replay check the
-// snapshot layer offers, and engine batching must not affect it.
+// byte-for-byte with the live engine (server.VerifyReplay, the check
+// VerifyRecovery runs against an archived log).
 func replayByteIdentity(d *daemon, o options) error {
+	engName, err := engineName(o.engine)
+	if err != nil {
+		return err
+	}
 	lf, err := os.Open(d.logPath)
 	if err != nil {
 		return err
@@ -541,55 +547,7 @@ func replayByteIdentity(d *daemon, o options) error {
 	if err != nil {
 		return err
 	}
-	var fresh server.Engine
-	switch o.engine {
-	case "seq":
-		st, err := core.NewState(core.Config{Kappa: o.kappa, Seed: o.seed}, tr.Initial())
-		if err != nil {
-			return err
-		}
-		fresh = st
-	case "dist":
-		de, err := dist.NewEngine(dist.Config{Kappa: o.kappa, Seed: o.seed}, tr.Initial())
-		if err != nil {
-			return err
-		}
-		defer de.Close()
-		fresh = de
-	default:
-		return fmt.Errorf("unknown engine %q", o.engine)
-	}
-	for i, ev := range tr.Events {
-		var b core.Batch
-		switch ev.Kind {
-		case "insert":
-			b.Insertions = []core.BatchInsertion{{Node: ev.Node, Neighbors: ev.Neighbors}}
-		case "delete":
-			b.Deletions = []graph.NodeID{ev.Node}
-		default:
-			return fmt.Errorf("event %d: bad kind %q", i, ev.Kind)
-		}
-		if err := fresh.ApplyBatch(b); err != nil {
-			return fmt.Errorf("replay event %d: %w", i, err)
-		}
-	}
-	freshSnap, ok1 := fresh.(server.Snapshotter)
-	liveSnap, ok2 := d.eng.(server.Snapshotter)
-	if !ok1 || !ok2 {
-		return fmt.Errorf("engine does not support snapshotting")
-	}
-	want, err := freshSnap.SnapshotState()
-	if err != nil {
-		return err
-	}
-	got, err := liveSnap.SnapshotState()
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(want, got) {
-		return fmt.Errorf("per-event replay snapshot differs from the live engine's")
-	}
-	return nil
+	return server.VerifyReplay(d.eng, engName, tr, o.kappa, o.seed)
 }
 
 // runScenarioSoak is the long-soak variant: a durable daemon under an

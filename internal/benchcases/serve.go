@@ -18,11 +18,8 @@ import (
 	"github.com/xheal/xheal/internal/workload"
 )
 
-// churntServer builds a serving daemon over a churned n-node network. The
-// returned server is live (incremental metrics) unless slow is set, in which
-// case every Health() clones and re-measures — the PR-4 behavior kept as the
-// -slow-health escape hatch.
-func churntServer(b *testing.B, n int, slow bool) *server.Server {
+// churntServer builds a serving daemon over a churned n-node network.
+func churntServer(b *testing.B, n int) *server.Server {
 	b.Helper()
 	g0, err := workload.RandomRegular(n, 3, rand.New(rand.NewSource(31)))
 	if err != nil {
@@ -32,10 +29,7 @@ func churntServer(b *testing.B, n int, slow bool) *server.Server {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := server.New(st, server.Config{
-		SlowHealth:   slow,
-		RefreshEvery: 8,
-	})
+	s := server.New(st, server.Config{RefreshEvery: 8})
 	anchors := append([]graph.NodeID(nil), g0.Nodes()...)
 	stream := adversary.NewClientStream(0, anchors, 0.35, 3, 900)
 	for i := 0; i < 64; i++ {
@@ -49,7 +43,7 @@ func churntServer(b *testing.B, n int, slow bool) *server.Server {
 // HealthPoll measures one /v1/health snapshot on the incremental path: the
 // tracker and caches answer without cloning the graph or running BFS.
 func HealthPoll(b *testing.B) {
-	s := churntServer(b, 2048, false)
+	s := churntServer(b, 2048)
 	defer s.Close()
 	// Let the refresher land once so polls exercise the steady state
 	// (valid λ₂ + stretch caches), not the warm-up window.
@@ -74,27 +68,12 @@ func HealthPoll(b *testing.B) {
 	}
 }
 
-// HealthPollSlow is the same poll on the clone-and-measure path (Config.
-// SlowHealth), the before side of BENCH_PR10's health-poll comparison.
-func HealthPollSlow(b *testing.B) {
-	s := churntServer(b, 2048, true)
-	defer s.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := s.Health()
-		if h.Nodes == 0 {
-			b.Fatal("empty health snapshot")
-		}
-	}
-}
-
 // IngestArray measures one 64-event array POSTed to /v1/events — the
-// batch-enqueue ingest path: one admission-ring reservation and one shard
-// lock for the whole array, then one verdict await per event.
+// batch-enqueue ingest path: one intake lock for the whole array, then one
+// verdict await per event.
 func IngestArray(b *testing.B) {
 	const arrayLen = 64
-	s := churntServer(b, 1024, false)
+	s := churntServer(b, 1024)
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

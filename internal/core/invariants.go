@@ -26,203 +26,58 @@ func violation(format string, args ...any) error {
 //     deg_G(x) ≤ κ·deg_G′(x) + 2κ;
 //  5. deleted nodes are gone from G, retained in G′, and appear in no cloud.
 //
-// It returns nil when all hold.
+// It is a sweep of the per-item predicates CheckInvariantsSampled rotates
+// through (invariants_sampled.go) over every edge, alive node, cloud and
+// baseline node, plus the checks on records that hang off no such item: a
+// claim without a physical edge, a membership or bridge entry for a dead
+// node, a deleted node missing from G′. It returns nil when all hold.
 func (s *State) CheckInvariants() error {
-	if err := s.checkClaims(); err != nil {
-		return err
-	}
-	if err := s.checkClouds(); err != nil {
-		return err
-	}
-	if err := s.checkMemberships(); err != nil {
-		return err
-	}
-	if err := s.checkDegreeBound(); err != nil {
-		return err
-	}
-	return s.checkDeleted()
-}
-
-func (s *State) checkClaims() error {
 	for _, e := range s.g.Edges() {
-		cl, ok := s.claims[e]
-		if !ok {
-			return violation("physical edge %v has no claim", e)
+		if err := s.checkEdgeInvariant(e); err != nil {
+			return err
 		}
-		if cl.empty() {
-			return violation("edge %v has an empty claim", e)
-		}
-		if cl.black && len(cl.colors) > 0 {
-			return violation("edge %v is both black and colored", e)
-		}
-		for _, color := range cl.colors {
-			c, live := s.clouds[color]
-			if !live {
-				return violation("edge %v claimed by dead cloud %d", e, color)
-			}
-			if _, has := c.edges[e]; !has {
-				return violation("edge %v claims cloud %d which does not list it", e, color)
+	}
+	// Every physical edge has a claim, so a claim without a physical edge
+	// exists iff the counts differ; only then is it worth finding.
+	if len(s.claims) != s.g.NumEdges() {
+		for e := range s.claims {
+			if !s.g.HasEdge(e.U, e.V) {
+				return violation("claim on %v without a physical edge", e)
 			}
 		}
 	}
-	for e := range s.claims {
-		if !s.g.HasEdge(e.U, e.V) {
-			return violation("claim on %v without a physical edge", e)
+	for _, n := range s.g.Nodes() {
+		if err := s.checkNodeInvariant(n); err != nil {
+			return err
 		}
 	}
-	return nil
-}
-
-func (s *State) checkClouds() error {
-	for id, c := range s.clouds {
-		if c.id != id {
-			return violation("cloud registry key %d != cloud id %d", id, c.id)
-		}
-		if c.kind != Primary && c.kind != Secondary {
-			return violation("cloud %d has invalid kind %d", id, int(c.kind))
-		}
-		if c.size() == 0 {
-			return violation("cloud %d is empty but registered", id)
-		}
-		if err := c.m.Validate(); err != nil {
-			return violation("cloud %d maintainer: %v", id, err)
-		}
-		for _, n := range c.members() {
-			if !s.g.HasNode(n) {
-				return violation("cloud %d member %d is not alive", id, n)
-			}
-		}
-		want := c.m.EdgeSet()
-		if len(want) != len(c.edges) {
-			return violation("cloud %d claims %d edges, maintainer wants %d", id, len(c.edges), len(want))
-		}
-		for e := range want {
-			if _, ok := c.edges[e]; !ok {
-				return violation("cloud %d missing claim on %v", id, e)
-			}
-			cl, ok := s.claims[e]
-			if !ok {
-				return violation("cloud %d edge %v has no physical claim", id, e)
-			}
-			if !cl.hasColor(id) {
-				return violation("cloud %d edge %v claim does not list the cloud", id, e)
-			}
-		}
-	}
-	return nil
-}
-
-func (s *State) checkMemberships() error {
-	// nodePrimaries must match primary cloud contents exactly.
-	for n, set := range s.nodePrimaries {
+	for n := range s.nodePrimaries {
 		if !s.g.HasNode(n) {
 			return violation("membership entry for dead node %d", n)
 		}
-		for id := range set {
-			c, ok := s.clouds[id]
-			if !ok {
-				return violation("node %d lists dead cloud %d", n, id)
-			}
-			if c.kind != Primary {
-				return violation("node %d lists non-primary cloud %d as primary", n, id)
-			}
-			if !c.contains(n) {
-				return violation("node %d lists cloud %d which lacks it", n, id)
-			}
-		}
 	}
-	for id, c := range s.clouds {
-		if c.kind != Primary {
-			continue
-		}
-		for _, n := range c.members() {
-			set, ok := s.nodePrimaries[n]
-			if !ok {
-				return violation("cloud %d member %d missing membership entry", id, n)
-			}
-			if _, in := set[id]; !in {
-				return violation("cloud %d member %d does not list the cloud", id, n)
-			}
-		}
-	}
-	// Secondary duties: link must reference live clouds of the right kinds,
-	// with the node a member of both sides.
-	for n, link := range s.bridgeLinks {
+	for n := range s.bridgeLinks {
 		if !s.g.HasNode(n) {
 			return violation("bridge link for dead node %d", n)
 		}
-		f, ok := s.clouds[link.secondary]
-		if !ok {
-			return violation("node %d bridges dead secondary %d", n, link.secondary)
-		}
-		if f.kind != Secondary {
-			return violation("node %d bridge target %d is not secondary", n, link.secondary)
-		}
-		if !f.contains(n) {
-			return violation("node %d not a member of its secondary %d", n, link.secondary)
-		}
-		p, ok := s.clouds[link.primary]
-		if !ok {
-			return violation("node %d anchors dead primary %d", n, link.primary)
-		}
-		if p.kind != Primary {
-			return violation("node %d anchor %d is not primary", n, link.primary)
-		}
-		if !p.contains(n) {
-			return violation("node %d not a member of its anchored primary %d", n, link.primary)
+	}
+	for id := range s.clouds {
+		if err := s.checkCloudInvariant(id); err != nil {
+			return err
 		}
 	}
-	// Every secondary member must carry a link to that secondary.
-	for id, f := range s.clouds {
-		if f.kind != Secondary {
-			continue
-		}
-		for _, n := range f.members() {
-			link, ok := s.bridgeLinks[n]
-			if !ok || link.secondary != id {
-				return violation("secondary %d member %d lacks a matching bridge link", id, n)
-			}
-		}
-	}
-	return nil
-}
-
-func (s *State) checkDegreeBound() error {
-	for _, n := range s.g.Nodes() {
-		dG := s.g.Degree(n)
-		dGp := s.gp.Degree(n)
-		bound := s.kappa*dGp + 2*s.kappa
-		if dG > bound {
-			return violation("degree bound: node %d has deg_G=%d > κ·deg_G'=%d·%d + 2κ = %d",
-				n, dG, s.kappa, dGp, bound)
-		}
-	}
-	return nil
-}
-
-func (s *State) checkDeleted() error {
 	for n := range s.deleted {
-		if s.g.HasNode(n) {
-			return violation("deleted node %d still alive", n)
-		}
 		if !s.gp.HasNode(n) {
 			return violation("deleted node %d missing from G'", n)
 		}
-		if _, ok := s.nodePrimaries[n]; ok {
-			return violation("deleted node %d has primary memberships", n)
-		}
-		if _, ok := s.bridgeLinks[n]; ok {
-			return violation("deleted node %d has a bridge link", n)
-		}
 	}
-	for _, c := range s.clouds {
-		for _, n := range c.members() {
-			if _, dead := s.deleted[n]; dead {
-				return violation("cloud %d contains deleted node %d", c.id, n)
-			}
+	var err error
+	s.gp.ForEachNode(func(n graph.NodeID) {
+		if err == nil {
+			err = s.checkBaselineInvariant(n)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // DegreeBound returns the paper's Theorem 2.1 bound κ·deg_G′(x) + 2κ for x.

@@ -34,229 +34,185 @@ func (s *State) CheckInvariantsSampled(budget int) error {
 	if nc, ne := len(s.claims), s.g.NumEdges(); nc != ne {
 		return violation("claim count %d != physical edge count %d", nc, ne)
 	}
-
-	edges := s.g.Edges()
-	s.inv.edge = sampleRing(edges, s.inv.edge, budget, s.checkEdgeInvariant)
-	if s.invErr != nil {
-		return s.invErr
+	var err error
+	if s.inv.edge, err = sampleRing(s.g.Edges(), s.inv.edge, budget, s.checkEdgeInvariant); err != nil {
+		return err
 	}
-	nodes := s.g.Nodes()
-	s.inv.node = sampleRing(nodes, s.inv.node, budget, s.checkNodeInvariant)
-	if s.invErr != nil {
-		return s.invErr
+	if s.inv.node, err = sampleRing(s.g.Nodes(), s.inv.node, budget, s.checkNodeInvariant); err != nil {
+		return err
 	}
-	clouds := s.Clouds()
-	s.inv.cloud = sampleRing(clouds, s.inv.cloud, budget, s.checkCloudInvariant)
-	if s.invErr != nil {
-		return s.invErr
+	if s.inv.cloud, err = sampleRing(s.Clouds(), s.inv.cloud, budget, s.checkCloudInvariant); err != nil {
+		return err
 	}
-	base := s.gp.Nodes()
-	s.inv.base = sampleRing(base, s.inv.base, budget, s.checkBaselineInvariant)
-	return s.invErr
+	s.inv.base, err = sampleRing(s.gp.Nodes(), s.inv.base, budget, s.checkBaselineInvariant)
+	return err
 }
 
-// sampleRing visits up to budget items of view starting at cursor, wrapping
-// around, and returns the advanced cursor. check signals failure through
-// s.invErr (set by the check helpers) — the caller inspects it.
-func sampleRing[T any](view []T, cursor, budget int, check func(T) bool) int {
+// sampleRing checks up to budget items of view starting at cursor, wrapping
+// around, and returns the advanced cursor. On a violation the cursor stops
+// at the offending item, so the next call reports it again.
+func sampleRing[T any](view []T, cursor, budget int, check func(T) error) (int, error) {
 	n := len(view)
 	if n == 0 {
-		return 0
+		return 0, nil
 	}
-	if budget > n {
-		budget = n
-	}
+	budget = min(budget, n)
 	cursor %= n
 	for i := 0; i < budget; i++ {
-		if !check(view[(cursor+i)%n]) {
-			return (cursor + i) % n
+		if err := check(view[(cursor+i)%n]); err != nil {
+			return (cursor + i) % n, err
 		}
 	}
-	return (cursor + budget) % n
+	return (cursor + budget) % n, nil
 }
 
-// The per-item helpers mirror CheckInvariants's category sweeps one item at
-// a time, reporting through s.invErr so they fit sampleRing's signature.
+// The per-item predicates below are the invariants themselves, one item at
+// a time: the sampled checker visits a window of each category per call and
+// CheckInvariants visits every item.
 
-func (s *State) checkEdgeInvariant(e graph.Edge) bool {
-	s.invErr = nil
+func (s *State) checkEdgeInvariant(e graph.Edge) error {
 	cl, ok := s.claims[e]
 	if !ok {
-		s.invErr = violation("physical edge %v has no claim", e)
-		return false
+		return violation("physical edge %v has no claim", e)
 	}
 	if cl.empty() {
-		s.invErr = violation("edge %v has an empty claim", e)
-		return false
+		return violation("edge %v has an empty claim", e)
 	}
 	if cl.black && len(cl.colors) > 0 {
-		s.invErr = violation("edge %v is both black and colored", e)
-		return false
+		return violation("edge %v is both black and colored", e)
 	}
 	for _, color := range cl.colors {
 		c, live := s.clouds[color]
 		if !live {
-			s.invErr = violation("edge %v claimed by dead cloud %d", e, color)
-			return false
+			return violation("edge %v claimed by dead cloud %d", e, color)
 		}
 		if _, has := c.edges[e]; !has {
-			s.invErr = violation("edge %v claims cloud %d which does not list it", e, color)
-			return false
+			return violation("edge %v claims cloud %d which does not list it", e, color)
 		}
 	}
-	return true
+	return nil
 }
 
-func (s *State) checkNodeInvariant(n graph.NodeID) bool {
-	s.invErr = nil
+func (s *State) checkNodeInvariant(n graph.NodeID) error {
 	if dG, bound := s.g.Degree(n), s.DegreeBound(n); dG > bound {
-		s.invErr = violation("degree bound: node %d has deg_G=%d > κ·deg_G'=%d·%d + 2κ = %d",
+		return violation("degree bound: node %d has deg_G=%d > κ·deg_G'=%d·%d + 2κ = %d",
 			n, dG, s.kappa, s.gp.Degree(n), bound)
-		return false
 	}
 	for id := range s.nodePrimaries[n] {
 		c, ok := s.clouds[id]
 		if !ok {
-			s.invErr = violation("node %d lists dead cloud %d", n, id)
-			return false
+			return violation("node %d lists dead cloud %d", n, id)
 		}
 		if c.kind != Primary {
-			s.invErr = violation("node %d lists non-primary cloud %d as primary", n, id)
-			return false
+			return violation("node %d lists non-primary cloud %d as primary", n, id)
 		}
 		if !c.contains(n) {
-			s.invErr = violation("node %d lists cloud %d which lacks it", n, id)
-			return false
+			return violation("node %d lists cloud %d which lacks it", n, id)
 		}
 	}
 	if link, ok := s.bridgeLinks[n]; ok {
 		f, live := s.clouds[link.secondary]
 		if !live {
-			s.invErr = violation("node %d bridges dead secondary %d", n, link.secondary)
-			return false
+			return violation("node %d bridges dead secondary %d", n, link.secondary)
 		}
 		if f.kind != Secondary {
-			s.invErr = violation("node %d bridge target %d is not secondary", n, link.secondary)
-			return false
+			return violation("node %d bridge target %d is not secondary", n, link.secondary)
 		}
 		if !f.contains(n) {
-			s.invErr = violation("node %d not a member of its secondary %d", n, link.secondary)
-			return false
+			return violation("node %d not a member of its secondary %d", n, link.secondary)
 		}
 		p, live := s.clouds[link.primary]
 		if !live {
-			s.invErr = violation("node %d anchors dead primary %d", n, link.primary)
-			return false
+			return violation("node %d anchors dead primary %d", n, link.primary)
 		}
 		if p.kind != Primary {
-			s.invErr = violation("node %d anchor %d is not primary", n, link.primary)
-			return false
+			return violation("node %d anchor %d is not primary", n, link.primary)
 		}
 		if !p.contains(n) {
-			s.invErr = violation("node %d not a member of its anchored primary %d", n, link.primary)
-			return false
+			return violation("node %d not a member of its anchored primary %d", n, link.primary)
 		}
 	}
-	return true
+	return nil
 }
 
-func (s *State) checkCloudInvariant(id ColorID) bool {
-	s.invErr = nil
+func (s *State) checkCloudInvariant(id ColorID) error {
 	c, ok := s.clouds[id]
 	if !ok {
-		return true // raced with Clouds() view; next rotation re-reads
+		return nil // raced with Clouds() view; next rotation re-reads
 	}
 	if c.id != id {
-		s.invErr = violation("cloud registry key %d != cloud id %d", id, c.id)
-		return false
+		return violation("cloud registry key %d != cloud id %d", id, c.id)
 	}
 	if c.kind != Primary && c.kind != Secondary {
-		s.invErr = violation("cloud %d has invalid kind %d", id, int(c.kind))
-		return false
+		return violation("cloud %d has invalid kind %d", id, int(c.kind))
 	}
 	if c.size() == 0 {
-		s.invErr = violation("cloud %d is empty but registered", id)
-		return false
+		return violation("cloud %d is empty but registered", id)
 	}
 	if err := c.m.Validate(); err != nil {
-		s.invErr = violation("cloud %d maintainer: %v", id, err)
-		return false
+		return violation("cloud %d maintainer: %v", id, err)
 	}
 	for _, n := range c.members() {
 		if !s.g.HasNode(n) {
-			s.invErr = violation("cloud %d member %d is not alive", id, n)
-			return false
+			return violation("cloud %d member %d is not alive", id, n)
 		}
 		if _, dead := s.deleted[n]; dead {
-			s.invErr = violation("cloud %d contains deleted node %d", id, n)
-			return false
+			return violation("cloud %d contains deleted node %d", id, n)
 		}
 		switch c.kind {
 		case Primary:
 			set, ok := s.nodePrimaries[n]
 			if !ok {
-				s.invErr = violation("cloud %d member %d missing membership entry", id, n)
-				return false
+				return violation("cloud %d member %d missing membership entry", id, n)
 			}
 			if _, in := set[id]; !in {
-				s.invErr = violation("cloud %d member %d does not list the cloud", id, n)
-				return false
+				return violation("cloud %d member %d does not list the cloud", id, n)
 			}
 		case Secondary:
 			link, ok := s.bridgeLinks[n]
 			if !ok || link.secondary != id {
-				s.invErr = violation("secondary %d member %d lacks a matching bridge link", id, n)
-				return false
+				return violation("secondary %d member %d lacks a matching bridge link", id, n)
 			}
 		}
 	}
 	want := c.m.EdgeSet()
 	if len(want) != len(c.edges) {
-		s.invErr = violation("cloud %d claims %d edges, maintainer wants %d", id, len(c.edges), len(want))
-		return false
+		return violation("cloud %d claims %d edges, maintainer wants %d", id, len(c.edges), len(want))
 	}
 	for e := range want {
 		if _, ok := c.edges[e]; !ok {
-			s.invErr = violation("cloud %d missing claim on %v", id, e)
-			return false
+			return violation("cloud %d missing claim on %v", id, e)
 		}
 		cl, ok := s.claims[e]
 		if !ok {
-			s.invErr = violation("cloud %d edge %v has no physical claim", id, e)
-			return false
+			return violation("cloud %d edge %v has no physical claim", id, e)
 		}
 		if !cl.hasColor(id) {
-			s.invErr = violation("cloud %d edge %v claim does not list the cloud", id, e)
-			return false
+			return violation("cloud %d edge %v claim does not list the cloud", id, e)
 		}
 	}
-	return true
+	return nil
 }
 
 // checkBaselineInvariant covers the deleted-node category: G′ holds every
 // node ever inserted, so a rotation over gp.Nodes() deterministically
 // visits all deleted nodes (unlike ranging the deleted map).
-func (s *State) checkBaselineInvariant(n graph.NodeID) bool {
-	s.invErr = nil
+func (s *State) checkBaselineInvariant(n graph.NodeID) error {
 	_, dead := s.deleted[n]
 	if !dead {
 		if !s.g.HasNode(n) {
-			s.invErr = violation("baseline node %d neither alive nor deleted", n)
-			return false
+			return violation("baseline node %d neither alive nor deleted", n)
 		}
-		return true
+		return nil
 	}
 	if s.g.HasNode(n) {
-		s.invErr = violation("deleted node %d still alive", n)
-		return false
+		return violation("deleted node %d still alive", n)
 	}
 	if _, ok := s.nodePrimaries[n]; ok {
-		s.invErr = violation("deleted node %d has primary memberships", n)
-		return false
+		return violation("deleted node %d has primary memberships", n)
 	}
 	if _, ok := s.bridgeLinks[n]; ok {
-		s.invErr = violation("deleted node %d has a bridge link", n)
-		return false
+		return violation("deleted node %d has a bridge link", n)
 	}
-	return true
+	return nil
 }

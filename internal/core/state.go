@@ -99,10 +99,9 @@ type State struct {
 	// main stream advances identically to a serial run.
 	seedQueue []int64
 
-	// inv / invErr carry the rotating cursors and pending violation of
-	// CheckInvariantsSampled; bookkeeping only, outside Snapshot identity.
-	inv    invCursors
-	invErr error
+	// inv carries the rotating cursors of CheckInvariantsSampled;
+	// bookkeeping only, outside Snapshot identity.
+	inv invCursors
 
 	// poisoned, once set, fail-stops the State: every mutating or exporting
 	// call returns ErrPoisoned wrapping this cause. See ApplyBatch's contract.

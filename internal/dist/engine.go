@@ -293,25 +293,12 @@ func (e *Engine) ApplyBatchDelta(b core.Batch, _ int) (core.TickDelta, error) {
 	return d, nil
 }
 
-// ValidateBatch checks a batch against the current state without applying
-// anything — the same admission rule the sequential reference uses
-// (core.State.ValidateBatch), exposed so batch assemblers (internal/server)
-// can share it across engines.
-func (e *Engine) ValidateBatch(b core.Batch) error {
-	if e.closed {
-		return ErrClosed
-	}
-	return e.st.ValidateBatch(b)
-}
-
-// BeginAdmission starts an incremental batch admission with ValidateBatch's
-// semantics at O(event) per decision (see core.BatchAdmission). Returns nil
-// once the engine is closed — callers fall back to ValidateBatch, which
-// reports ErrClosed.
+// BeginAdmission starts an incremental batch admission with
+// core.State.ValidateBatch's semantics at O(event) per decision (see
+// core.BatchAdmission). Admission only reads the reference state, so it
+// works on a closed engine too; applying the admitted batch then reports
+// ErrClosed.
 func (e *Engine) BeginAdmission() *core.BatchAdmission {
-	if e.closed {
-		return nil
-	}
 	return e.st.BeginAdmission()
 }
 

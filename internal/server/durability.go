@@ -62,10 +62,6 @@ func (s *Server) checkpointLocked() {
 	if store == nil {
 		return
 	}
-	snap, ok := s.eng.(Snapshotter)
-	if !ok {
-		return
-	}
 	// A broken log must not advance the checkpoint watermark: events past
 	// the failure were applied but never made durable, and a checkpoint
 	// covering them would paper over the loss.
@@ -77,7 +73,7 @@ func (s *Server) checkpointLocked() {
 	if s.counters.Checkpoints > 0 && s.counters.LastCheckpointEvents == s.counters.EventsApplied {
 		return
 	}
-	data, err := snap.SnapshotState()
+	data, err := s.eng.SnapshotState()
 	if err != nil {
 		s.counters.CheckpointErrors++
 		return
@@ -102,9 +98,7 @@ func (s *Server) checkpointLocked() {
 	s.counters.LastCheckpointEvents = c.Events
 	if rl, ok := s.cfg.Log.(RotatingLog); ok {
 		if err := rl.Rotate(c.Tick, c.Name()); err != nil {
-			if s.logErr == nil {
-				s.logErr = err
-			}
+			s.failLog(err)
 			return
 		}
 		if err := rl.Compact(c.Events, s.cfg.ArchiveLog); err != nil {
@@ -218,7 +212,7 @@ func Recover(rc RecoverConfig) (*Recovered, error) {
 		if g0 == nil {
 			return nil, fmt.Errorf("%w: no checkpoint, no log, and no genesis graph", ErrRecoveryMismatch)
 		}
-		rec.Engine, err = freshEngine(rc.Engine, rc.Kappa, rc.Seed, g0)
+		rec.Engine, err = NewEngine(rc.Engine, rc.Kappa, rc.Seed, g0)
 		if err != nil {
 			return nil, err
 		}
@@ -226,6 +220,7 @@ func Recover(rc RecoverConfig) (*Recovered, error) {
 
 	if tr != nil {
 		if rec.Events < tr.BaseEvents {
+			closeEngine(rec.Engine)
 			return nil, fmt.Errorf("%w: checkpoint at event %d predates compacted log base %d",
 				trace.ErrLogGap, rec.Events, tr.BaseEvents)
 		}
@@ -266,7 +261,15 @@ func VerifyRecovery(recovered Engine, engineName, logDir string, kappa int, seed
 		return fmt.Errorf("%w: genesis history compacted away (run with log archiving to verify)",
 			ErrRecoveryMismatch)
 	}
-	fresh, err := freshEngine(engineName, kappa, seed, full.Initial())
+	return VerifyReplay(recovered, engineName, full, kappa, seed)
+}
+
+// VerifyReplay is the replay-identity check itself: a fresh engine of the
+// named kind replays the from-genesis trace one event per timestep and must
+// reach a snapshot byte-identical to eng's — the strongest replay check the
+// snapshot layer offers, and engine batching must not affect it.
+func VerifyReplay(eng Engine, engineName string, full *trace.Trace, kappa int, seed int64) error {
+	fresh, err := NewEngine(engineName, kappa, seed, full.Initial())
 	if err != nil {
 		return err
 	}
@@ -276,21 +279,16 @@ func VerifyRecovery(recovered Engine, engineName, logDir string, kappa int, seed
 			return fmt.Errorf("server: genesis replay event %d: %w", i, err)
 		}
 	}
-	freshSnap, ok1 := fresh.(Snapshotter)
-	recoveredSnap, ok2 := recovered.(Snapshotter)
-	if !ok1 || !ok2 {
-		return fmt.Errorf("%w: engine does not support snapshotting", ErrRecoveryMismatch)
-	}
-	want, err := freshSnap.SnapshotState()
+	want, err := fresh.SnapshotState()
 	if err != nil {
 		return err
 	}
-	got, err := recoveredSnap.SnapshotState()
+	got, err := eng.SnapshotState()
 	if err != nil {
 		return err
 	}
 	if !bytes.Equal(want, got) {
-		return fmt.Errorf("%w: recovered state differs from from-genesis replay", ErrRecoveryMismatch)
+		return fmt.Errorf("%w: engine state differs from from-genesis replay", ErrRecoveryMismatch)
 	}
 	return nil
 }
@@ -309,7 +307,10 @@ func applyLogged(eng Engine, ev trace.Event) error {
 	return eng.ApplyBatch(b)
 }
 
-func freshEngine(name string, kappa int, seed int64, g0 *graph.Graph) (Engine, error) {
+// NewEngine builds a fresh engine of the named kind (EngineCore or
+// EngineDist) over the genesis graph g0. A dist engine owns goroutines; the
+// caller closes it.
+func NewEngine(name string, kappa int, seed int64, g0 *graph.Graph) (Engine, error) {
 	switch name {
 	case EngineCore:
 		st, err := core.NewState(core.Config{Kappa: kappa, Seed: seed}, g0)

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/xheal/xheal/internal/adversary"
 	"github.com/xheal/xheal/internal/checkpoint"
@@ -40,7 +42,7 @@ func (ev schedEvent) adversary() adversary.Event {
 
 func mustEngine(t *testing.T, name string, g0 *graph.Graph) Engine {
 	t.Helper()
-	eng, err := freshEngine(name, 4, recoverySeed, g0)
+	eng, err := NewEngine(name, 4, recoverySeed, g0)
 	if err != nil {
 		t.Fatalf("%s engine: %v", name, err)
 	}
@@ -95,7 +97,7 @@ func genServerSchedule(t *testing.T, engineName string, g0 *graph.Graph, steps i
 
 func snapshotBytes(t *testing.T, eng Engine) []byte {
 	t.Helper()
-	data, err := eng.(Snapshotter).SnapshotState()
+	data, err := eng.SnapshotState()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -147,9 +149,14 @@ func TestServerCrashRecoveryIdentity(t *testing.T) {
 						t.Fatalf("k=%d: submit %d: %v", k, i, err)
 					}
 				}
-				// Crash: abandon sA without shutdown. Disk now holds exactly
-				// what a SIGKILL would leave; sA is cleaned up after every
-				// assertion against the directory is done.
+				// Crash: stop sA dead — no drain, no final checkpoint. The
+				// ack of event k-1 may still have had its checkpoint, rotation
+				// and compaction ahead of it; crash returns once the loop is
+				// gone, so nothing moves segments while recovery lists the
+				// directory, and disk holds what a SIGKILL would leave.
+				sA.crash()
+				fl.Close()
+				closeEngine(engA)
 
 				rc := RecoverConfig{
 					Store: store, LogDir: logDir,
@@ -204,12 +211,54 @@ func TestServerCrashRecoveryIdentity(t *testing.T) {
 
 				closeEngine(rec2.Engine)
 				closeEngine(rec.Engine)
-				// Tear down the abandoned first incarnation last: its Close
-				// scribbles a stale checkpoint into the now-dead directory.
-				sA.Close()
-				closeEngine(engA)
 			}
 		})
+	}
+}
+
+// TestRecoverLogGapClosesEngine: a checkpoint older than the compacted log's
+// base fails recovery with ErrLogGap, and the engine restored from that
+// checkpoint is shut down on the way out — a dist engine owns one goroutine
+// per node.
+func TestRecoverLogGapClosesEngine(t *testing.T) {
+	g0 := ringGraph(10)
+	store := checkpoint.NewMemStore()
+	eng := mustEngine(t, EngineDist, g0.Clone())
+	c := &checkpoint.Checkpoint{
+		Version: checkpoint.Version, Engine: EngineDist, Kappa: 4, Seed: recoverySeed,
+		Genesis: GenesisDigest(g0), State: snapshotBytes(t, eng),
+	}
+	closeEngine(eng)
+	c.Seal()
+	if err := store.Save(c); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	logDir := filepath.Join(t.TempDir(), "log")
+	fl, err := trace.OpenFileLog(logDir, g0, 5, 5, "") // the log's first 5 events are gone
+	if err != nil {
+		t.Fatalf("log: %v", err)
+	}
+	if err := fl.Close(); err != nil {
+		t.Fatalf("close log: %v", err)
+	}
+
+	before := runtime.NumGoroutine()
+	_, err = Recover(RecoverConfig{
+		Store: store, LogDir: logDir,
+		Engine: EngineDist, Kappa: 4, Seed: recoverySeed, Genesis: g0,
+	})
+	if !errors.Is(err, trace.ErrLogGap) {
+		t.Fatalf("Recover = %v, want ErrLogGap", err)
+	}
+	// Close waits for every node goroutine to signal exit; allow the
+	// scheduler a moment to retire them.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the failed Recover, %d after: the restored engine leaked",
+				before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

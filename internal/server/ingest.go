@@ -1,134 +1,58 @@
 package server
 
-import (
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// admitRing is the lock-lean admission buffer between submitters and the
-// tick loop. Capacity is reserved with one atomic CAS per enqueue call (not
-// per event), and the submissions land in one of several independently
-// locked shards, so concurrent HTTP handlers contend on an atomic and a
-// 1/shards-probability mutex instead of a single channel send per event.
-//
-// Ordering: one enqueue call's submissions stay contiguous and in order
-// (they go to a single shard, sharing one sequence number), which is what
-// the HTTP array handler needs — an insert followed by events attaching to
-// it must admit in order. Across enqueue calls, drainInto restores arrival
-// order by sorting on the sequence stamp: a submitter that saw its enqueue
-// complete is ordered before every later enqueue, exactly as with the
-// channel this replaces. (Two enqueues racing each other have no defined
-// order, same as two racing channel sends.)
-type admitRing struct {
-	capacity int64
-	depth    atomic.Int64
-	rr       atomic.Uint64
-	seq      atomic.Uint64
+// intake is the bounded FIFO between submitters and the tick loop: one
+// mutex-guarded slice, so arrival order is lock order. A submitter that saw
+// its enqueue return is ahead of every enqueue that starts afterwards, and
+// one enqueue call's submissions stay contiguous and in order — which is
+// what the HTTP array handler needs: an insert followed by events attaching
+// to it must admit in that order. (Two enqueues racing each other have no
+// defined order, same as two racing channel sends.)
+type intake struct {
+	mu       sync.Mutex
+	subs     []*submission
+	capacity int
 	// notify carries at most one wake-up token for the tick loop; enqueue's
 	// send is non-blocking because a queued token already guarantees the
 	// loop will drain everything present.
 	notify chan struct{}
-	shards []admitShard
 }
 
-type admitShard struct {
-	mu   sync.Mutex
-	subs []*submission
-	// Pad shards apart so neighboring locks don't share a cache line.
-	_ [40]byte
+func newIntake(capacity int) *intake {
+	return &intake{capacity: capacity, notify: make(chan struct{}, 1)}
 }
 
-func newAdmitRing(capacity int) *admitRing {
-	shards := runtime.GOMAXPROCS(0)
-	if shards > 16 {
-		shards = 16
+// enqueue admits as many of subs as capacity allows — always a prefix — and
+// returns how many were accepted. The caller fails the rest with ErrBacklog.
+func (q *intake) enqueue(subs []*submission) int {
+	q.mu.Lock()
+	take := min(len(subs), q.capacity-len(q.subs))
+	q.subs = append(q.subs, subs[:take]...)
+	q.mu.Unlock()
+	if take > 0 {
+		select {
+		case q.notify <- struct{}{}:
+		default:
+		}
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	return &admitRing{
-		capacity: int64(capacity),
-		notify:   make(chan struct{}, 1),
-		shards:   make([]admitShard, shards),
-	}
+	return take
 }
 
-// enqueue admits as many of subs as capacity allows — always a prefix, all
-// into one shard — and returns how many were accepted. The caller fails the
-// rest with ErrBacklog.
-func (r *admitRing) enqueue(subs []*submission) int {
-	if len(subs) == 0 {
-		return 0
-	}
-	want := int64(len(subs))
-	for {
-		cur := r.depth.Load()
-		free := r.capacity - cur
-		if free <= 0 {
-			return 0
-		}
-		take := want
-		if take > free {
-			take = free
-		}
-		if r.depth.CompareAndSwap(cur, cur+take) {
-			seq := r.seq.Add(1)
-			for _, sub := range subs[:take] {
-				sub.seq = seq
-			}
-			sh := &r.shards[r.rr.Add(1)%uint64(len(r.shards))]
-			sh.mu.Lock()
-			sh.subs = append(sh.subs, subs[:take]...)
-			sh.mu.Unlock()
-			select {
-			case r.notify <- struct{}{}:
-			default:
-			}
-			return int(take)
-		}
-	}
-}
-
-// drainInto appends every buffered submission to buf and returns it. Shard
-// iteration interleaves enqueue calls arbitrarily, so the tick loop calls
-// sortBySeq over everything it gathered for one batch before admitting.
-// Only the tick loop calls this, so shard slices can be truncated in place
-// and their backing arrays reused by later enqueues.
-func (r *admitRing) drainInto(buf []*submission) []*submission {
-	taken := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		if len(sh.subs) > 0 {
-			buf = append(buf, sh.subs...)
-			taken += len(sh.subs)
-			clear(sh.subs)
-			sh.subs = sh.subs[:0]
-		}
-		sh.mu.Unlock()
-	}
-	if taken > 0 {
-		r.depth.Add(-int64(taken))
-	}
+// drainInto appends every buffered submission to buf, in arrival order, and
+// returns it. The buffer's backing array is kept for later enqueues.
+func (q *intake) drainInto(buf []*submission) []*submission {
+	q.mu.Lock()
+	buf = append(buf, q.subs...)
+	clear(q.subs)
+	q.subs = q.subs[:0]
+	q.mu.Unlock()
 	return buf
 }
 
-// sortBySeq restores arrival order over submissions gathered from the ring:
-// a submitter that saw its enqueue complete is ordered before every enqueue
-// that started afterwards. Stable, so one enqueue's contiguous run (one
-// shard, one shared seq) keeps its internal order — the HTTP array handler
-// relies on that for inserts followed by events attaching to them.
-func sortBySeq(subs []*submission) {
-	sort.SliceStable(subs, func(i, j int) bool { return subs[i].seq < subs[j].seq })
-}
-
-// len reports buffered submissions (reserved capacity not yet drained).
-func (r *admitRing) len() int {
-	d := r.depth.Load()
-	if d < 0 {
-		d = 0
-	}
-	return int(d)
+// len reports buffered submissions.
+func (q *intake) len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.subs)
 }

@@ -9,33 +9,31 @@ import (
 	"github.com/xheal/xheal/internal/spectral"
 )
 
-// DeltaBatcher is the optional engine surface the incremental metrics path
-// uses: apply one batch and return the net structural delta it caused.
-// core.State and dist.Engine both satisfy it.
+// DeltaBatcher is the Engine facet the tick loop applies batches through:
+// apply one batch (on workers goroutines where the engine can; ≤ 1 is
+// serial) and return the net structural delta it caused, which feeds the
+// incremental metrics.
 type DeltaBatcher interface {
 	ApplyBatchDelta(b core.Batch, workers int) (core.TickDelta, error)
 }
 
-// SampledChecker is the optional engine surface Config.InvariantBudget
-// uses: check a budgeted, rotating sample of the structural invariants
-// instead of the full sweep. core.State and dist.Engine both satisfy it.
+// SampledChecker is the Engine facet Config.InvariantBudget uses: check a
+// budgeted, rotating sample of the structural invariants instead of the
+// full sweep.
 type SampledChecker interface {
 	CheckInvariantsSampled(budget int) error
 }
 
-// Admitter is the optional engine surface the batching loop uses to admit
-// events into a tick incrementally (O(event) per decision) instead of
-// re-validating the whole prospective batch per event (O(batch) each, O(k²)
-// per tick). Verdicts are identical to ValidateBatch's; a nil admission
-// (engine closed) falls back to wholesale validation. core.State and
-// dist.Engine both satisfy it.
+// Admitter is the Engine facet the batching loop admits events into a tick
+// through: O(event) per decision, verdicts identical to
+// core.State.ValidateBatch's on the prospective batch. The server begins one
+// admission at New and resets it every tick.
 type Admitter interface {
 	BeginAdmission() *core.BatchAdmission
 }
 
-// liveState is the incremental metrics layer the daemon keeps when the
-// engine supports batch deltas (and Config.SlowHealth is off): health polls
-// read these caches instead of cloning and measuring the graph.
+// liveState is the incremental metrics layer: health polls read these
+// caches instead of cloning and measuring the graph.
 type liveState struct {
 	tracker *live.Tracker
 	l2      *live.Lambda2Cache
@@ -165,7 +163,7 @@ func (s *Server) auditLive() {
 	}
 }
 
-// liveHealth assembles the fast-path health snapshot from the caches.
+// liveHealth assembles the health snapshot from the caches.
 // Called without s.mu; c and logErr were snapshotted under it.
 func (s *Server) liveHealth(c Counters, logErr error) Health {
 	l := s.live

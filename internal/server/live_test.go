@@ -20,10 +20,6 @@ func TestLiveHealthIntegration(t *testing.T) {
 		RefreshEvery: 4,
 		AuditEvery:   8,
 	})
-	if s.live == nil {
-		t.Fatal("live metrics layer not enabled for a DeltaBatcher engine")
-	}
-
 	stream := adversary.NewClientStream(0, anchors, 0.35, 3, 500)
 	for i := 0; i < 120; i++ {
 		if err := s.Submit(context.Background(), stream.Next()); err != nil {
@@ -70,37 +66,6 @@ func TestLiveHealthIntegration(t *testing.T) {
 	}
 	if h.Connected != st.Graph().IsConnected() {
 		t.Fatalf("tracked connectivity %v, graph %v", h.Connected, st.Graph().IsConnected())
-	}
-}
-
-// TestSlowHealthFallback pins the -slow-health escape hatch: the live layer
-// stays off, Health still reports exact structural values (via the clone-and
-// -measure path), and the Live section is absent from the snapshot.
-func TestSlowHealthFallback(t *testing.T) {
-	g0, anchors := testTopology(t, 12)
-	s, st := newSeqServer(t, g0, Config{Tick: 100 * time.Microsecond, SlowHealth: true})
-	if s.live != nil {
-		t.Fatal("SlowHealth did not disable the live layer")
-	}
-	stream := adversary.NewClientStream(1, anchors, 0.3, 3, 600)
-	for i := 0; i < 40; i++ {
-		if err := s.Submit(context.Background(), stream.Next()); err != nil {
-			t.Fatalf("event %d: %v", i, err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	h := s.Health()
-	if h.Live != nil {
-		t.Fatal("slow path emitted a Live section")
-	}
-	if h.Nodes != st.Graph().NumNodes() || h.Edges != st.Graph().NumEdges() {
-		t.Fatalf("slow health n=%d m=%d, engine n=%d m=%d",
-			h.Nodes, h.Edges, st.Graph().NumNodes(), st.Graph().NumEdges())
-	}
-	if h.Snapshot.MaxStretch == 0 {
-		t.Fatal("slow path lost the measured stretch")
 	}
 }
 

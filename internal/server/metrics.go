@@ -48,76 +48,52 @@ func (s *Server) buildRegistry() {
 		c(func(c Counters) float64 { return float64(c.BatchMax) }))
 	reg.Gauge("xheal_serve_queue_depth", "Events accepted but not yet applied.",
 		func() float64 { return float64(s.QueueDepth()) })
-	if s.live != nil {
-		// Topology gauges from the incremental tracker: no lock on the apply
-		// path, no clone, no traversal at scrape time.
-		l := s.live
-		reg.Gauge("xheal_serve_nodes", "Alive nodes in the healed graph.",
-			func() float64 { return float64(l.tracker.Values().Nodes) })
-		reg.Gauge("xheal_serve_edges", "Edges in the healed graph.",
-			func() float64 { return float64(l.tracker.Values().Edges) })
-		reg.Gauge("xheal_serve_connected", "1 when the healed graph is connected (last established verdict).",
-			func() float64 {
-				if l.tracker.Values().Connected {
-					return 1
-				}
-				return 0
-			})
-		reg.Gauge("xheal_serve_connectivity_age_ticks", "Ticks since the connectivity verdict was established (0 = exact).",
-			func() float64 { return float64(l.tracker.Values().ConnectivityAgeTicks) })
-		reg.Gauge("xheal_serve_max_degree", "Maximum degree in the healed graph.",
-			func() float64 { return float64(l.tracker.Values().MaxDegree) })
-		reg.Gauge("xheal_serve_max_degree_ratio", "Max over alive nodes of deg_G/max(1, deg_G_prime).",
-			func() float64 { return l.tracker.Values().MaxDegreeRatio })
-		reg.Gauge("xheal_serve_lambda2", "Cached algebraic-connectivity estimate (warm-started Lanczos).",
-			func() float64 { v, _, _ := l.l2.Value(); return v })
-		reg.Gauge("xheal_serve_lambda2_age_ticks", "Ticks since the cached lambda2 was computed.",
-			func() float64 {
-				_, asOf, ok := l.l2.Value()
-				if !ok {
-					return -1
-				}
-				return float64(l.tracker.Values().Ticks - asOf)
-			})
-		reg.Counter("xheal_serve_lambda2_refreshes_total", "Lanczos runs performed by the refresher.",
-			func() float64 { return float64(l.l2.Stats().Refreshes) })
-		reg.Counter("xheal_serve_lambda2_warm_refreshes_total", "Lanczos runs warm-started from the previous Ritz vector.",
-			func() float64 { return float64(l.l2.Stats().WarmRefreshes) })
-		reg.Gauge("xheal_serve_stretch_sampled", "Sampled max-stretch estimate from the cached BFS trees (-1 until built).",
-			func() float64 {
-				v, _, ok := l.stretch.Value(l.tracker.Values().Ticks)
-				if !ok {
-					return -1
-				}
-				return v
-			})
-		reg.Counter("xheal_serve_tracker_audits_total", "Full-recomputation audits of the incremental tracker.",
-			func() float64 { return float64(l.tracker.Values().Audits) })
-		reg.Counter("xheal_serve_tracker_audit_failures_total", "Tracker audits that found a divergence.",
-			func() float64 { return float64(l.tracker.Values().AuditFailures) })
-	} else {
-		reg.Gauge("xheal_serve_nodes", "Alive nodes in the healed graph.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.eng.Graph().NumNodes())
-		})
-		reg.Gauge("xheal_serve_edges", "Edges in the healed graph.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.eng.Graph().NumEdges())
-		})
-		reg.Gauge("xheal_serve_connected", "1 when the healed graph is connected.", func() float64 {
-			// Clone under the lock, traverse outside it: connectivity is the
-			// one scrape series that walks the whole graph.
-			s.mu.Lock()
-			g := s.eng.Graph().Clone()
-			s.mu.Unlock()
-			if g.IsConnected() {
+	// Topology gauges from the incremental tracker: no lock on the apply
+	// path, no clone, no traversal at scrape time.
+	l := s.live
+	reg.Gauge("xheal_serve_nodes", "Alive nodes in the healed graph.",
+		func() float64 { return float64(l.tracker.Values().Nodes) })
+	reg.Gauge("xheal_serve_edges", "Edges in the healed graph.",
+		func() float64 { return float64(l.tracker.Values().Edges) })
+	reg.Gauge("xheal_serve_connected", "1 when the healed graph is connected (last established verdict).",
+		func() float64 {
+			if l.tracker.Values().Connected {
 				return 1
 			}
 			return 0
 		})
-	}
+	reg.Gauge("xheal_serve_connectivity_age_ticks", "Ticks since the connectivity verdict was established (0 = exact).",
+		func() float64 { return float64(l.tracker.Values().ConnectivityAgeTicks) })
+	reg.Gauge("xheal_serve_max_degree", "Maximum degree in the healed graph.",
+		func() float64 { return float64(l.tracker.Values().MaxDegree) })
+	reg.Gauge("xheal_serve_max_degree_ratio", "Max over alive nodes of deg_G/max(1, deg_G_prime).",
+		func() float64 { return l.tracker.Values().MaxDegreeRatio })
+	reg.Gauge("xheal_serve_lambda2", "Cached algebraic-connectivity estimate (warm-started Lanczos).",
+		func() float64 { v, _, _ := l.l2.Value(); return v })
+	reg.Gauge("xheal_serve_lambda2_age_ticks", "Ticks since the cached lambda2 was computed.",
+		func() float64 {
+			_, asOf, ok := l.l2.Value()
+			if !ok {
+				return -1
+			}
+			return float64(l.tracker.Values().Ticks - asOf)
+		})
+	reg.Counter("xheal_serve_lambda2_refreshes_total", "Lanczos runs performed by the refresher.",
+		func() float64 { return float64(l.l2.Stats().Refreshes) })
+	reg.Counter("xheal_serve_lambda2_warm_refreshes_total", "Lanczos runs warm-started from the previous Ritz vector.",
+		func() float64 { return float64(l.l2.Stats().WarmRefreshes) })
+	reg.Gauge("xheal_serve_stretch_sampled", "Sampled max-stretch estimate from the cached BFS trees (-1 until built).",
+		func() float64 {
+			v, _, ok := l.stretch.Value(l.tracker.Values().Ticks)
+			if !ok {
+				return -1
+			}
+			return v
+		})
+	reg.Counter("xheal_serve_tracker_audits_total", "Full-recomputation audits of the incremental tracker.",
+		func() float64 { return float64(l.tracker.Values().Audits) })
+	reg.Counter("xheal_serve_tracker_audit_failures_total", "Tracker audits that found a divergence.",
+		func() float64 { return float64(l.tracker.Values().AuditFailures) })
 	reg.Gauge("xheal_serve_uptime_seconds", "Seconds since the daemon started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	if s.cfg.Log != nil {

@@ -14,7 +14,7 @@ import (
 )
 
 // Deferral and backpressure under the parallel batcher. The admission logic
-// (ValidateBatch -> defer -> carry) runs on the loop goroutine either way,
+// (admit -> defer -> carry) runs on the loop goroutine either way,
 // but with Config.Parallelism > 1 the applied batch fans out across repair
 // workers — these tests pin that the conflict-handling contract survives the
 // parallel path bit-for-bit, and -race watches the handoff.
@@ -160,13 +160,13 @@ func TestBackpressureParallel(t *testing.T) {
 			done: make(chan error, 1),
 			at:   time.Now(),
 		}
-		if s.ring.enqueue([]*submission{sub}) != 1 {
-			t.Fatalf("ring refused enqueue of %d", node)
+		if s.intake.enqueue([]*submission{sub}) != 1 {
+			t.Fatalf("intake refused enqueue of %d", node)
 		}
 		return sub
 	}
 	subA := enqueue(100)
-	for s.ring.len() != 0 { // loop has picked event 100 up
+	for s.intake.len() != 0 { // loop has picked event 100 up
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(10 * time.Millisecond) // let the loop reach apply() and block
@@ -211,12 +211,12 @@ func TestParallelConflictStorm(t *testing.T) {
 	}
 	// A 5ms tick gives each client's insert+delete pair a wide window to land
 	// in the same batch; the delete is submitted while its insert is still
-	// pending, so most rounds force a carry. SlowHealth keeps the background
-	// λ₂ refresher off the CPU: each round's delete is valid only if the
-	// insert goroutine wins its 1ms head start, and on a single-core -race
-	// run a Lanczos burst can starve it past that. The live path has its own
-	// concurrency coverage in live_test.go.
-	s, st := newSeqServer(t, g0, Config{Tick: 5 * time.Millisecond, Log: lw, Parallelism: 4, MaxDefer: 64, SlowHealth: true})
+	// pending, so most rounds force a carry. The huge RefreshEvery keeps the
+	// background λ₂ refresher off the CPU after its seeding run: each round's
+	// delete is valid only if the insert goroutine wins its 1ms head start,
+	// and on a single-core -race run a Lanczos burst can starve it past that.
+	// The live path has its own concurrency coverage in live_test.go.
+	s, st := newSeqServer(t, g0, Config{Tick: 5 * time.Millisecond, Log: lw, Parallelism: 4, MaxDefer: 64, RefreshEvery: 1 << 30})
 
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {

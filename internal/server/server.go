@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,16 +16,24 @@ import (
 	"github.com/xheal/xheal/internal/obs"
 )
 
-// Engine is the healing engine a Server drives. Both core.State (the
+// Engine is the healing engine a Server drives — the whole contract, so the
+// serving path never asks an engine what it can do. Both core.State (the
 // sequential Algorithm 3.1 reference) and dist.Engine (the §5 message
-// protocol) satisfy it, so a daemon hosts either interchangeably.
+// protocol) satisfy it, so a daemon hosts either interchangeably; a further
+// backend implements this one interface.
 type Engine interface {
+	// DeltaBatcher is how the tick loop applies a batch; ApplyBatch is the
+	// delta-less form recovery replays logged events through.
+	DeltaBatcher
 	ApplyBatch(core.Batch) error
-	ValidateBatch(core.Batch) error
+	Admitter
+	SampledChecker
+	CheckInvariants() error
+	Snapshotter
+	SetRecorder(*obs.Recorder)
 	Graph() *graph.Graph
 	Baseline() *graph.Graph
 	Kappa() int
-	CheckInvariants() error
 }
 
 // Sentinel errors.
@@ -76,10 +82,10 @@ type Config struct {
 	// rotates to a fresh segment after every checkpoint and compacts the
 	// segments the checkpoint covers.
 	Log EventLog
-	// Checkpoints, when set alongside an engine that implements Snapshotter,
-	// enables durability: the server saves a checkpoint every
-	// CheckpointEvery applied ticks (default 32) and once more during the
-	// final drain, then rotates and compacts the event log behind it.
+	// Checkpoints, when set, enables durability: the server saves a
+	// checkpoint every CheckpointEvery applied ticks (default 32) and once
+	// more during the final drain, then rotates and compacts the event log
+	// behind it.
 	Checkpoints checkpoint.Store
 	// CheckpointEvery is the checkpoint cadence in applied ticks (default 32).
 	CheckpointEvery int
@@ -102,20 +108,14 @@ type Config struct {
 	Resume Resume
 	// Recorder, when set, traces every wound repair as a span: the server
 	// stamps the tick, the engine stamps the phases. It is handed to the
-	// engine at New if the engine accepts one (core.State and dist.Engine
-	// do). nil disables per-wound tracing at zero cost.
+	// engine at New. nil disables per-wound tracing at zero cost.
 	Recorder *obs.Recorder
-	// Parallelism, when > 1 and the engine implements ParallelBatcher
-	// (core.State does), heals disjoint wounds of each tick's batch
-	// concurrently on that many workers. 0 or 1 applies batches serially.
-	// The final state is byte-identical either way; see core.State's
-	// ApplyBatchParallel.
+	// Parallelism, when > 1, is the worker count handed to the engine's
+	// ApplyBatchDelta: core.State heals disjoint wounds of each tick's batch
+	// concurrently on that many workers (dist.Engine ignores it). 0 or 1
+	// applies batches serially. The final state is byte-identical either
+	// way; see core.State's ApplyBatchParallel.
 	Parallelism int
-	// SlowHealth disables the incremental metrics layer: Health clones and
-	// measures the graph directly, as before PR 10. The fallback for
-	// debugging the fast path against — the incremental layer is on by
-	// default whenever the engine supports batch deltas.
-	SlowHealth bool
 	// RefreshEvery is the cadence, in applied ticks, at which the refresher
 	// goroutine re-establishes the expensive cached metrics: connectivity
 	// (when stale), warm-started λ₂, and dirty sampled-stretch trees
@@ -129,16 +129,16 @@ type Config struct {
 	// the incremental layer's correctness oracle, priced for test and canary
 	// deployments. 0 disables auditing.
 	AuditEvery int
-	// InvariantBudget, when > 0 and the engine supports sampled checking,
-	// makes CheckInvariants examine a rotating sample of that many
-	// nodes/edges/clouds per call instead of sweeping everything; successive
-	// calls cover the full structure. 0 keeps the full sweep.
+	// InvariantBudget, when > 0, makes CheckInvariants examine a rotating
+	// sample of that many nodes/edges/clouds per call instead of sweeping
+	// everything; successive calls cover the full structure. 0 keeps the
+	// full sweep.
 	InvariantBudget int
 }
 
-// ParallelBatcher is the optional engine surface Config.Parallelism uses:
-// apply one batch with disjoint-wound repairs fanned out to a bounded
-// worker pool. core.State satisfies it.
+// ParallelBatcher names core.State's parallel entry point. The server does
+// not call it — Config.Parallelism reaches the engine as ApplyBatchDelta's
+// worker count — it is kept for embedders that wrap a core.State.
 type ParallelBatcher interface {
 	ApplyBatchParallel(b core.Batch, workers int) error
 }
@@ -169,9 +169,8 @@ type SyncingLog interface {
 	Sync() error
 }
 
-// Snapshotter is the optional engine surface durability needs: the complete
-// engine state as deterministic JSON. core.State and dist.Engine both
-// satisfy it.
+// Snapshotter is the Engine facet durability uses: the complete engine state
+// as deterministic JSON.
 type Snapshotter interface {
 	SnapshotState() ([]byte, error)
 }
@@ -276,18 +275,13 @@ type Server struct {
 	cfg Config
 	eng Engine
 
-	ring  *admitRing
-	carry []*submission
-	stopc chan struct{}
-	done  chan struct{}
-
-	// held and nextSeq enforce arrival order over the sharded ring: the
-	// loop admits only the contiguous-seq prefix of what it drained and
-	// holds the rest until the missing enqueue becomes visible (its depth
-	// reservation keeps the loop from sleeping meanwhile). Both are owned
-	// by the loop goroutine.
-	held    []*submission
-	nextSeq uint64
+	intake *intake
+	carry  []*submission
+	stopc  chan struct{}
+	done   chan struct{}
+	// crashed makes the loop exit at stopc without draining; written only
+	// before stopc closes (see crash).
+	crashed bool
 
 	closeMu sync.RWMutex
 	closed  bool
@@ -298,24 +292,16 @@ type Server struct {
 	liveAuditErr error
 
 	// live is the incremental metrics layer (tracker + λ₂ cache + stretch
-	// sampler); nil when Config.SlowHealth is set or the engine doesn't
-	// support batch deltas, in which case Health measures the graph.
+	// sampler) every health poll and topology gauge reads.
 	live *liveState
 
-	// adm is the reusable incremental batch admission (reset each tick so
-	// its buckets amortize to zero allocations); nil until the first tick,
-	// or permanently when the engine doesn't expose admission.
+	// adm is the reusable incremental batch admission, reset each tick so
+	// its buckets amortize to zero allocations.
 	adm *core.BatchAdmission
-
-	// healthRng backs the slow health path's sampled measurement; reseeded
-	// per call so repeated polls stay deterministic without allocating a
-	// fresh generator each time.
-	healthMu  sync.Mutex
-	healthRng *rand.Rand
 
 	// degraded mirrors logErr != nil for lock-free Submit fast-fail: once the
 	// event log has failed, writes are refused (ErrNotDurable) instead of
-	// being applied and acknowledged non-durably.
+	// being applied and acknowledged non-durably. failLog sets both.
 	degraded atomic.Bool
 
 	backlogged atomic.Uint64
@@ -330,17 +316,10 @@ type Server struct {
 	queueHist *obs.Histogram
 }
 
-// recordableEngine is satisfied by engines that accept a per-wound trace
-// recorder (core.State and dist.Engine both do).
-type recordableEngine interface {
-	SetRecorder(*obs.Recorder)
-}
-
 type submission struct {
 	ev     adversary.Event
 	done   chan error
 	at     time.Time
-	seq    uint64 // enqueue order stamp; drainInto sorts on it (see admitRing)
 	defers int
 }
 
@@ -348,34 +327,28 @@ type submission struct {
 // else until Close returns (the server owns it, including reads).
 func New(eng Engine, cfg Config) *Server {
 	s := &Server{
-		cfg:       cfg,
-		eng:       eng,
-		ring:      newAdmitRing(cfg.queueDepth()),
-		stopc:     make(chan struct{}),
-		done:      make(chan struct{}),
-		start:     time.Now(),
-		healthRng: rand.New(rand.NewSource(1)),
+		cfg:    cfg,
+		eng:    eng,
+		intake: newIntake(cfg.queueDepth()),
+		stopc:  make(chan struct{}),
+		done:   make(chan struct{}),
+		start:  time.Now(),
+		adm:    eng.BeginAdmission(),
 	}
 	// A recovered daemon continues the run's global numbering so checkpoint
 	// and log-segment anchors stay monotone across restarts.
 	s.counters.Ticks = cfg.Resume.Tick
 	s.counters.EventsApplied = cfg.Resume.Events
 	if cfg.Recorder != nil {
-		if re, ok := eng.(recordableEngine); ok {
-			re.SetRecorder(cfg.Recorder)
-		}
+		eng.SetRecorder(cfg.Recorder)
 	}
-	if _, ok := eng.(DeltaBatcher); ok && !cfg.SlowHealth {
-		s.live = s.newLiveState()
-	}
+	s.live = s.newLiveState()
 	s.buildRegistry()
 	go s.loop()
-	if s.live != nil {
-		go s.refresher()
-		// Seed the caches (connectivity is already exact; λ₂ and stretch
-		// become valid once this first refresh lands).
-		s.live.requestRefresh()
-	}
+	go s.refresher()
+	// Seed the caches (connectivity is already exact; λ₂ and stretch become
+	// valid once this first refresh lands).
+	s.live.requestRefresh()
 	return s
 }
 
@@ -410,11 +383,11 @@ func (s *Server) submitAsync(ev adversary.Event) (*submission, error) {
 	return sub, nil
 }
 
-// submitMany enqueues a group of already-assembled submissions as one
-// admission-ring operation — one atomic reservation and one shard lock for
-// the whole group, which both keeps the group's relative order (the HTTP
-// array contract: inserts admit before the events that attach to them) and
-// makes ingest cost O(1) synchronization per request instead of per event.
+// submitMany enqueues a group of already-assembled submissions as one intake
+// operation — one lock for the whole group, which both keeps the group
+// contiguous and in order (the HTTP array contract: inserts admit before the
+// events that attach to them) and makes ingest cost O(1) synchronization per
+// request instead of per event.
 // Returns how many submissions were accepted (always a prefix); the caller
 // fails the rest with ErrBacklog.
 func (s *Server) submitMany(subs []*submission) (int, error) {
@@ -430,7 +403,7 @@ func (s *Server) submitMany(subs []*submission) (int, error) {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("%w: %v", ErrNotDurable, err)
 	}
-	accepted := s.ring.enqueue(subs)
+	accepted := s.intake.enqueue(subs)
 	if rest := len(subs) - accepted; rest > 0 {
 		s.backlogged.Add(uint64(rest))
 	}
@@ -442,12 +415,12 @@ func (s *Server) submitMany(subs []*submission) (int, error) {
 func (s *Server) loop() {
 	defer close(s.done)
 	for {
-		if len(s.carry) == 0 && len(s.held) == 0 && s.ring.len() == 0 {
+		if len(s.carry) == 0 && s.intake.len() == 0 {
 			select {
 			case <-s.stopc:
 				s.drain()
 				return
-			case <-s.ring.notify:
+			case <-s.intake.notify:
 			}
 		} else {
 			select {
@@ -457,160 +430,86 @@ func (s *Server) loop() {
 			default:
 			}
 		}
-		s.tick()
+		s.apply(s.gather(s.cfg.Tick))
 	}
 }
 
-// takeCarry empties the deferred-submission buffer. carry is owned by the
-// loop goroutine (tick, drain, and apply all run on it); the atomic carried
-// mirror is what concurrent QueueDepth readers see.
-func (s *Server) takeCarry() []*submission {
-	pending := s.carry
+// gather collects one batch's worth of submissions in arrival order:
+// deferred carry first (it keeps its head-of-line position), then whatever
+// the intake holds, then — for up to window, while the batch has room —
+// whatever else arrives. Anything beyond the batch cap carries into the next
+// gather; the intake's one-shot notify token may already be consumed, and
+// the loop's carry/intake length check keeps it from blocking while work
+// remains. carry is owned by the loop goroutine (gather and apply both run
+// on it); the atomic carried mirror is what concurrent QueueDepth readers
+// see.
+func (s *Server) gather(window time.Duration) []*submission {
+	pending := s.intake.drainInto(s.carry)
 	s.carry = nil
 	s.carried.Store(0)
-	return pending
-}
-
-// orderGathered restores arrival order over one gather's worth of ring
-// submissions (pending[carried:] — the carry prefix keeps its head-of-line
-// position untouched). Shards interleave enqueue calls and a drain pass is
-// not a consistent snapshot — it can pick up a later enqueue while an
-// earlier one is still mid-append in another shard — so after sorting by
-// the dense sequence stamp, only the contiguous prefix is released;
-// anything after a gap is held for the next tick, when the missing
-// enqueue's submissions have become visible.
-func (s *Server) orderGathered(pending []*submission, carried int) []*submission {
-	for tries := 0; ; tries++ {
-		sortBySeq(pending[carried:])
-		cut := carried
-		for cut < len(pending) {
-			// One enqueue call's submissions (an HTTP array) share a seq;
-			// a redrained pass re-walks already-released seqs.
-			sq := pending[cut].seq
-			if sq > s.nextSeq+1 {
-				break
-			}
-			if sq > s.nextSeq {
-				s.nextSeq = sq
-			}
-			cut++
-		}
-		if cut == len(pending) {
-			return pending
-		}
-		// Gap: an earlier enqueue is mid-append in its shard. It is at most
-		// microseconds away — yield and redrain rather than stalling the
-		// gapped tail a whole tick. Holding is the fallback for a straggler
-		// that still hasn't surfaced.
-		if tries < 3 {
-			carried = cut
-			runtime.Gosched()
-			pending = s.ring.drainInto(pending)
-			continue
-		}
-		s.held = append(s.held, pending[cut:]...)
-		return pending[:cut]
-	}
-}
-
-// tick gathers submissions for one coalescing window and applies them.
-func (s *Server) tick() {
-	pending := s.takeCarry()
-	carried := len(pending)
-	pending = append(pending, s.held...)
-	s.held = s.held[:0]
-	pending = s.ring.drainInto(pending)
 	max := s.cfg.maxBatch()
-	if s.cfg.Tick > 0 {
-		deadline := time.NewTimer(s.cfg.Tick)
+	if window > 0 {
+		deadline := time.NewTimer(window)
 		defer deadline.Stop()
-	gather:
+	collect:
 		for len(pending) < max {
 			select {
-			case <-s.ring.notify:
-				pending = s.ring.drainInto(pending)
+			case <-s.intake.notify:
+				pending = s.intake.drainInto(pending)
 			case <-deadline.C:
-				break gather
+				break collect
 			case <-s.stopc:
-				break gather
+				break collect
 			}
 		}
 	}
-	pending = s.orderGathered(pending, carried)
-	// Anything beyond the batch cap carries into the next tick; the ring's
-	// one-shot notify token may already be consumed, and the loop's
-	// carry/ring length check keeps it from blocking while work remains.
 	if len(pending) > max {
 		s.carry = append(s.carry, pending[max:]...)
 		s.carried.Store(int64(len(s.carry)))
 		pending = pending[:max]
 	}
-	s.apply(pending)
+	return pending
 }
 
 // drain finishes everything already accepted into the queue after Close:
 // Submit can no longer enqueue (closed is set before stopc closes), so the
-// queue only shrinks. Every remaining submission is applied or answered.
+// queue only shrinks. Every remaining submission is applied or answered,
+// then the final checkpoint is taken and the log closed. A crashed server
+// (see crash) skips all of it.
 func (s *Server) drain() {
-	for {
-		pending := s.takeCarry()
-		carried := len(pending)
-		pending = append(pending, s.held...)
-		s.held = s.held[:0]
-		pending = s.ring.drainInto(pending)
-		pending = s.orderGathered(pending, carried)
-		if len(pending) == 0 {
-			// A held gap or a reserved-but-unappended enqueue means a
-			// submission is still becoming visible: yield and re-drain
-			// rather than dropping it on the floor.
-			if len(s.held) > 0 || s.ring.len() > 0 {
-				runtime.Gosched()
-				continue
-			}
-			s.mu.Lock()
-			// Final checkpoint: a clean shutdown restarts from here with an
-			// empty log tail.
-			s.checkpointLocked()
-			if s.cfg.Log != nil {
-				// A failed final close means the log tail may not have
-				// reached stable storage: surface it (Close returns logErr,
-				// cmd/xheal-serve exits non-zero) and mark the daemon
-				// degraded so health probes see it too.
-				if err := s.cfg.Log.Close(); err != nil {
-					s.degraded.Store(true)
-					if s.logErr == nil {
-						s.logErr = fmt.Errorf("event log close: %w", err)
-					}
-				}
-			}
-			s.mu.Unlock()
-			return
-		}
-		// Cap the batch; anything beyond it carries into the next pass.
-		max := s.cfg.maxBatch()
-		if len(pending) > max {
-			s.carry = append(s.carry, pending[max:]...)
-			s.carried.Store(int64(len(s.carry)))
-			pending = pending[:max]
-		}
+	if s.crashed {
+		return
+	}
+	for pending := s.gather(0); len(pending) > 0; pending = s.gather(0) {
 		s.apply(pending)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Final checkpoint: a clean shutdown restarts from here with an empty
+	// log tail.
+	s.checkpointLocked()
+	if s.cfg.Log != nil {
+		// A failed final close means the log tail may not have reached
+		// stable storage: surface it (Close returns logErr, cmd/xheal-serve
+		// exits non-zero) and mark the daemon degraded so health probes see
+		// it too.
+		if err := s.cfg.Log.Close(); err != nil {
+			s.failLog(fmt.Errorf("event log close: %w", err))
+		}
 	}
 }
 
 // batchState tracks one tick's in-assembly batch for conflict admission.
-// adm, when the engine supports it, carries the incremental admission state
-// that makes each decision O(event) instead of O(batch).
 type batchState struct {
 	batch   core.Batch
 	members []*submission
-	adm     *core.BatchAdmission
 }
 
 // admit decides whether sub's event can join this tick's batch. The rule is
-// core.ValidateBatch itself — the prospective batch (assembled so far plus
-// this event) is validated through the engine, so the server cannot drift
-// from the engines' own admission semantics and an admitted batch cannot be
-// rejected at apply time. A prospective-batch ErrBatchConflict means the
+// core.ValidateBatch's, evaluated incrementally by the engine's own
+// BatchAdmission (O(event) per decision, identical verdicts), so the server
+// cannot drift from the engines' admission semantics and an admitted batch
+// cannot be rejected at apply time. An ErrBatchConflict verdict means the
 // event only clashes with *this* timestep (delete of a node inserted or
 // attached this tick, duplicate target, ...) and defers; any other
 // validation error is a property of the event itself and rejects it.
@@ -634,29 +533,12 @@ func (s *Server) admit(bs *batchState, sub *submission) (bool, error) {
 		return false, fmt.Errorf("unknown event kind %d", int(ev.Kind))
 	}
 
-	// The shared rule itself: incremental admission when the engine offers
-	// it (O(event) per decision, identical verdicts), otherwise wholesale
-	// validation of the prospective batch.
+	// The shared rule itself.
 	var err error
-	if bs.adm != nil {
-		if ev.Kind == adversary.Insert {
-			err = bs.adm.AdmitInsertion(core.BatchInsertion{Node: ev.Node, Neighbors: ev.Neighbors})
-		} else {
-			err = bs.adm.AdmitDeletion(ev.Node)
-		}
+	if ev.Kind == adversary.Insert {
+		err = s.adm.AdmitInsertion(core.BatchInsertion{Node: ev.Node, Neighbors: ev.Neighbors})
 	} else {
-		cand := bs.batch
-		if ev.Kind == adversary.Insert {
-			cand.Insertions = append(cand.Insertions, core.BatchInsertion{
-				Node: ev.Node, Neighbors: ev.Neighbors,
-			})
-		} else {
-			cand.Deletions = append(cand.Deletions, ev.Node)
-		}
-		if err = s.eng.ValidateBatch(cand); err == nil {
-			bs.batch = cand
-			return true, nil
-		}
+		err = s.adm.AdmitDeletion(ev.Node)
 	}
 	if err != nil {
 		if errors.Is(err, core.ErrBatchConflict) {
@@ -693,14 +575,7 @@ func (s *Server) apply(pending []*submission) {
 	}
 
 	bs := &batchState{}
-	if s.adm != nil {
-		s.adm.Reset()
-		bs.adm = s.adm
-	} else if eng, ok := s.eng.(Admitter); ok {
-		// nil (engine closed) falls back to wholesale ValidateBatch.
-		s.adm = eng.BeginAdmission()
-		bs.adm = s.adm
-	}
+	s.adm.Reset()
 	for _, sub := range pending {
 		ok, rejection := s.admit(bs, sub)
 		switch {
@@ -730,7 +605,7 @@ func (s *Server) apply(pending []*submission) {
 	// under once the batch lands.
 	s.cfg.Recorder.SetTick(s.counters.Ticks + 1)
 	applyStart := time.Now()
-	delta, err := s.applyBatch(bs.batch)
+	delta, err := s.eng.ApplyBatchDelta(bs.batch, s.cfg.Parallelism)
 	applied := time.Since(applyStart)
 	if err != nil {
 		// Admission should have prevented this; fail the whole timestep
@@ -749,26 +624,21 @@ func (s *Server) apply(pending []*submission) {
 	// (and trace.Load's torn-tail tolerance) relies on.
 	if s.cfg.Log != nil {
 		if err := s.logBatch(bs.batch); err != nil {
-			s.logErr = err
-			s.degraded.Store(true)
+			s.failLog(err)
 			s.failNotDurable(bs.members)
 			return
 		}
 	}
 
-	if s.live != nil {
-		s.live.tracker.Apply(delta)
-		s.live.stretch.Observe(delta)
-		ticks := s.counters.Ticks + 1
-		if s.cfg.AuditEvery > 0 && ticks%uint64(s.cfg.AuditEvery) == 0 {
-			s.auditLive()
-		}
-		if ticks%s.cfg.refreshEvery() == 0 {
-			s.live.requestRefresh()
-		}
-	}
-
+	s.live.tracker.Apply(delta)
+	s.live.stretch.Observe(delta)
 	s.counters.Ticks++
+	if s.cfg.AuditEvery > 0 && s.counters.Ticks%uint64(s.cfg.AuditEvery) == 0 {
+		s.auditLive()
+	}
+	if s.counters.Ticks%s.cfg.refreshEvery() == 0 {
+		s.live.requestRefresh()
+	}
 	s.counters.ApplySeconds += applied.Seconds()
 	s.tickHist.Observe(applied.Seconds())
 	s.batchHist.Observe(float64(len(bs.members)))
@@ -794,31 +664,6 @@ func (s *Server) apply(pending []*submission) {
 	}
 }
 
-// applyBatch routes one admitted batch into the engine: through the
-// delta-reporting path when the incremental metrics layer is live, through
-// the parallel disjoint-wound path when Config.Parallelism asks for it and
-// the engine supports it, serially otherwise. Every path produces
-// byte-identical engine state (see core.State.ApplyBatchParallel's
-// contract); only the returned delta differs (empty off the live path —
-// nothing consumes it there).
-func (s *Server) applyBatch(b core.Batch) (core.TickDelta, error) {
-	workers := 1
-	if s.cfg.Parallelism > 1 {
-		workers = s.cfg.Parallelism
-	}
-	if s.live != nil {
-		if db, ok := s.eng.(DeltaBatcher); ok {
-			return db.ApplyBatchDelta(b, workers)
-		}
-	}
-	if workers > 1 {
-		if pb, ok := s.eng.(ParallelBatcher); ok {
-			return core.TickDelta{}, pb.ApplyBatchParallel(b, workers)
-		}
-	}
-	return core.TickDelta{}, s.eng.ApplyBatch(b)
-}
-
 // logBatch makes one applied batch durable: every event is appended to the
 // event log in exact application order (all insertions, then all deletions),
 // then the log is synced to stable storage when it supports that — one fsync
@@ -841,6 +686,15 @@ func (s *Server) logBatch(b core.Batch) error {
 	return nil
 }
 
+// failLog records an event-log failure (the first one sticks) and flips the
+// daemon into the refuse-writes degraded state. Caller holds s.mu.
+func (s *Server) failLog(err error) {
+	if s.logErr == nil {
+		s.logErr = err
+	}
+	s.degraded.Store(true)
+}
+
 // failNotDurable answers every submission with ErrNotDurable (wrapping the
 // recorded log failure). Caller holds s.mu with s.logErr set.
 func (s *Server) failNotDurable(subs []*submission) {
@@ -860,9 +714,8 @@ func (s *Server) Counters() Counters {
 }
 
 // QueueDepth reports events accepted but not yet applied (buffered in the
-// admission ring plus carried deferrals). Approximate while the loop is
-// moving.
-func (s *Server) QueueDepth() int { return s.ring.len() + int(s.carried.Load()) }
+// intake plus carried deferrals). Approximate while the loop is moving.
+func (s *Server) QueueDepth() int { return s.intake.len() + int(s.carried.Load()) }
 
 // Health is one live health snapshot.
 type Health struct {
@@ -893,7 +746,7 @@ type Health struct {
 	Durability *DurabilityHealth `json:"durability,omitempty"`
 	// Live reports the incremental metrics layer — cached λ₂ and stretch
 	// estimates with their staleness, connectivity age, and tracker audit
-	// telemetry. Absent on the slow (clone-and-measure) health path.
+	// telemetry. Always set by Health.
 	Live *LiveHealth `json:"live,omitempty"`
 }
 
@@ -926,31 +779,18 @@ type ObsHealth struct {
 	SpansDropped uint64 `json:"spans_dropped"`
 }
 
-// Health snapshots the daemon's health. On the live (default) path the
-// engine facts come from the incremental tracker and the λ₂/stretch caches
-// — no graph clone, no traversal, no measurement under or behind the apply
-// lock; the lock is held only to copy the counters. With Config.SlowHealth
-// (or an engine without batch deltas) it falls back to the original
-// clone-under-lock, measure-outside-it path.
+// Health snapshots the daemon's health. The engine facts come from the
+// incremental tracker and the λ₂/stretch caches — no graph clone, no
+// traversal, no measurement under or behind the apply lock; the lock is held
+// only to copy the counters.
 func (s *Server) Health() Health {
 	s.mu.Lock()
 	c := s.counters
 	logErr := s.logErr
-	var g, gp *graph.Graph
-	var kappa int
-	if s.live == nil {
-		g, gp = s.eng.Graph().Clone(), s.eng.Baseline().Clone()
-		kappa = s.eng.Kappa()
-	}
 	s.mu.Unlock()
 	c.EventsBacklogged = s.backlogged.Load()
 
-	var h Health
-	if s.live != nil {
-		h = s.liveHealth(c, logErr)
-	} else {
-		h = s.slowHealth(g, gp, kappa, c, logErr)
-	}
+	h := s.liveHealth(c, logErr)
 	h.UptimeSeconds = time.Since(s.start).Seconds()
 
 	h.Obs = ObsHealth{TickLatency: s.tickHist.Snapshot().Summary()}
@@ -976,52 +816,16 @@ func (s *Server) Health() Health {
 	return h
 }
 
-// slowHealth is the clone-and-measure fallback: a MeasureFast-equivalent
-// pass (no spectral work, sampled stretch) over cloned graphs. The
-// measurement rng is persistent and reseeded per call, so polls stay
-// deterministic without a per-call generator allocation.
-func (s *Server) slowHealth(g, gp *graph.Graph, kappa int, c Counters, logErr error) Health {
-	s.healthMu.Lock()
-	s.healthRng.Seed(1)
-	snap := metrics.Measure(g, gp, metrics.Config{
-		SkipSpectral:   true,
-		StretchSources: 4,
-		Rng:            s.healthRng,
-	})
-	s.healthMu.Unlock()
-
-	status, logMsg := "ok", ""
-	if !snap.Connected {
-		status = "degraded"
-	}
-	if logErr != nil {
-		status, logMsg = "degraded", logErr.Error()
-	}
-	return Health{
-		Status:     status,
-		LogError:   logMsg,
-		Nodes:      snap.Nodes,
-		Edges:      snap.Edges,
-		Connected:  snap.Connected,
-		Kappa:      kappa,
-		Snapshot:   snap,
-		Counters:   c,
-		QueueDepth: s.QueueDepth(),
-	}
-}
-
 // CheckInvariants runs the engine's structural invariant check under the
-// server's lock (safe while serving). With Config.InvariantBudget set and
-// an engine that supports it, each call checks a rotating budgeted sample
-// instead of sweeping the whole structure; successive calls cover
-// everything (see core.State.CheckInvariantsSampled).
+// server's lock (safe while serving). With Config.InvariantBudget set, each
+// call checks a rotating budgeted sample instead of sweeping the whole
+// structure; successive calls cover everything (see
+// core.State.CheckInvariantsSampled).
 func (s *Server) CheckInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b := s.cfg.InvariantBudget; b > 0 {
-		if sc, ok := s.eng.(SampledChecker); ok {
-			return sc.CheckInvariantsSampled(b)
-		}
+		return s.eng.CheckInvariantsSampled(b)
 	}
 	return s.eng.CheckInvariants()
 }
@@ -1049,10 +853,23 @@ func (s *Server) Close() error {
 		close(s.stopc)
 	}
 	<-s.done
-	if s.live != nil {
-		<-s.live.refreshDone
-	}
+	<-s.live.refreshDone
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.logErr
+}
+
+// crash is the test seam for a process kill: it stops intake and the loop
+// where they stand — nothing queued is drained, no final checkpoint is
+// taken, the event log is left open — and returns once the loop has exited,
+// so no checkpoint, rotation or compaction is in flight afterwards. What the
+// data directory then holds is what a SIGKILL would have left.
+func (s *Server) crash() {
+	s.closeMu.Lock()
+	s.closed = true
+	s.closeMu.Unlock()
+	s.crashed = true
+	close(s.stopc)
+	<-s.done
+	<-s.live.refreshDone
 }

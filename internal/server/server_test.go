@@ -11,11 +11,18 @@ import (
 	"time"
 
 	"github.com/xheal/xheal/internal/adversary"
+	"github.com/xheal/xheal/internal/checkpoint"
 	"github.com/xheal/xheal/internal/core"
 	"github.com/xheal/xheal/internal/dist"
 	"github.com/xheal/xheal/internal/graph"
 	"github.com/xheal/xheal/internal/trace"
 	"github.com/xheal/xheal/internal/workload"
+)
+
+// Both engines satisfy the whole serving contract.
+var (
+	_ Engine = (*core.State)(nil)
+	_ Engine = (*dist.Engine)(nil)
 )
 
 func testTopology(t *testing.T, n int) (*graph.Graph, []graph.NodeID) {
@@ -281,11 +288,56 @@ func TestLogWriteFailureRefusesWrites(t *testing.T) {
 	if got := s.Counters().EventsNotDurable; got != uint64(failed) {
 		t.Fatalf("EventsNotDurable = %d, want %d", got, failed)
 	}
-	if !strings.Contains(s.PrometheusText(), "xheal_serve_log_failed 1") {
+	if !strings.Contains(s.PrometheusText(), "\nxheal_serve_log_failed 1\n") {
 		t.Fatal("metrics: xheal_serve_log_failed gauge not set")
 	}
 	if err := s.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("Close = %v, want the recorded log write failure", err)
+	}
+}
+
+// rotateFailLog is a RotatingLog whose segments cannot be rotated.
+type rotateFailLog struct{ EventLog }
+
+func (rotateFailLog) Rotate(uint64, string) error { return errors.New("rotate: disk full") }
+func (rotateFailLog) Compact(uint64, bool) error  { return nil }
+
+// A log failure found while rotating behind a checkpoint — after the tick's
+// members were acked — must put the daemon into the same refuse-writes state
+// as an append failure, at once: the degraded flag mirrors logErr, so the
+// next Submit is refused at the door instead of being queued for a tick.
+func TestRotateFailureRefusesWrites(t *testing.T) {
+	g0, _ := testTopology(t, 8)
+	lw, err := trace.NewLogWriter(&bytes.Buffer{}, g0)
+	if err != nil {
+		t.Fatalf("log writer: %v", err)
+	}
+	s, _ := newSeqServer(t, g0, Config{
+		Log: rotateFailLog{lw}, Checkpoints: checkpoint.NewMemStore(), CheckpointEvery: 1,
+	})
+	ctx := context.Background()
+	if err := s.Submit(ctx, adversary.Event{Kind: adversary.Insert, Node: 100, Neighbors: []graph.NodeID{0}}); err != nil {
+		t.Fatalf("Submit before the rotation failed: %v", err)
+	}
+	// The ack precedes the checkpoint inside the same tick; Counters takes
+	// the apply lock, so by now that tick's rotation has failed.
+	if c := s.Counters(); c.Checkpoints != 1 {
+		t.Fatalf("Checkpoints = %d, want 1", c.Checkpoints)
+	}
+	// (The leading newline keeps the HELP line, "... log_failed 1 when ...",
+	// from matching.)
+	if !strings.Contains(s.PrometheusText(), "\nxheal_serve_log_failed 1\n") {
+		t.Fatal("rotation failure recorded in logErr but the degraded flag is not set")
+	}
+	err = s.Submit(ctx, adversary.Event{Kind: adversary.Insert, Node: 101, Neighbors: []graph.NodeID{0}})
+	if !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("Submit after the rotation failed = %v, want ErrNotDurable", err)
+	}
+	if h := s.Health(); h.Status != "degraded" || !strings.Contains(h.LogError, "rotate: disk full") {
+		t.Fatalf("Health = %q/%q, want degraded with the rotation failure", h.Status, h.LogError)
+	}
+	if err := s.Close(); err == nil || !strings.Contains(err.Error(), "rotate: disk full") {
+		t.Fatalf("Close = %v, want the recorded rotation failure", err)
 	}
 }
 
@@ -343,13 +395,13 @@ func TestBackpressure(t *testing.T) {
 			done: make(chan error, 1),
 			at:   time.Now(),
 		}
-		if s.ring.enqueue([]*submission{sub}) != 1 {
-			t.Fatalf("ring refused enqueue of %d", node)
+		if s.intake.enqueue([]*submission{sub}) != 1 {
+			t.Fatalf("intake refused enqueue of %d", node)
 		}
 		return sub
 	}
 	subA := enqueue(100)
-	for s.ring.len() != 0 { // loop has picked event 100 up
+	for s.intake.len() != 0 { // loop has picked event 100 up
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(10 * time.Millisecond) // let the loop reach apply() and block
