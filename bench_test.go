@@ -57,11 +57,9 @@ func BenchmarkE14Congestion(b *testing.B)          { benchExperiment(b, "E14") }
 // --- micro benches on the core primitives -----------------------------------
 //
 // Bodies shared with `xheal-bench -benchjson` live in internal/benchcases so
-// the committed BENCH_*.json trajectory measures exactly this code.
+// the recorded trajectory (docs/bench-history) measures exactly this code.
 
 func BenchmarkHealDeletion(b *testing.B)        { benchcases.HealDeletion(b) }
-func BenchmarkHealthPoll(b *testing.B)          { benchcases.HealthPoll(b) }
-func BenchmarkIngestArray(b *testing.B)         { benchcases.IngestArray(b) }
 func BenchmarkApplyBatchSerial(b *testing.B)    { benchcases.ApplyBatchSerial(b) }
 func BenchmarkApplyBatchParallel(b *testing.B)  { benchcases.ApplyBatchParallel(b) }
 func BenchmarkDistributedDeletion(b *testing.B) { benchcases.DistributedDeletion(b) }

@@ -49,13 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file (taken at exit)")
 
-		parScaling = fs.String("parallel-scaling", "", "measure ApplyBatchParallel throughput at GOMAXPROCS 1/2/4/8 and write the curve to this JSON file (see BENCH_PR8.json)")
-
-		scale          = fs.String("scale", "", "comma-separated network sizes (e.g. 10000,100000): measure the serving daemon's health-poll latency, array-ingest throughput and λ₂ refresh cost at each size")
-		scaleEvents    = fs.Int("scale-events", 8192, "scale: events ingested through the array path per size")
-		scaleOut       = fs.String("scale-out", "", "scale: write the report to this JSON file")
-		scaleSloHealth = fs.Float64("scale-slo-health-p99-ms", 0, "scale: fail if live health-poll p99 exceeds this at the largest size (0 = no gate)")
-		scaleSloIngest = fs.Float64("scale-slo-ingest-eps", 0, "scale: fail if array-ingest events/sec falls below this at the largest size (0 = no gate)")
+		parScaling = fs.String("parallel-scaling", "", "measure ApplyBatchParallel throughput at GOMAXPROCS 1/2/4/8 and write the curve to this JSON file (see docs/bench-history/BENCH_PR8.json)")
 
 		conf       = fs.Bool("conformance", false, "run the lockstep centralized-vs-distributed conformance matrix instead of experiments")
 		confN      = fs.Int("conf-n", 64, "conformance: initial topology size per cell")
@@ -70,9 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *parScaling != "" {
 		return runParallelScaling(stderr, *parScaling)
-	}
-	if *scale != "" {
-		return runScale(stderr, *scale, *scaleEvents, *scaleOut, *scaleSloHealth, *scaleSloIngest)
 	}
 	if *confReplay != "" {
 		return replayConformance(stdout, stderr, *confReplay, *confSeed, *confKappa)
@@ -142,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// byte-identical no matter how the pool schedules. When wall times are
 	// being recorded (-benchjson), run them one at a time instead — a timing
 	// taken while other experiments compete for cores measures contention,
-	// not experiment cost, and the BENCH_*.json trajectory must stay
+	// not experiment cost, and the recorded trajectory must stay
 	// comparable across machines.
 	type outcome struct {
 		table *harness.Table
@@ -211,7 +202,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// benchReport is the schema of the -benchjson output (see BENCH_*.json).
+// benchReport is the schema of the -benchjson output (see
+// docs/bench-history/BENCH_PR2.json).
 // GoMaxProcs predates the Env block and stays for series continuity.
 type benchReport struct {
 	GoMaxProcs  int                `json:"go_max_procs"`

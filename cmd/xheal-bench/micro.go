@@ -17,7 +17,7 @@ type microResult struct {
 }
 
 // runMicroBenches times the core primitives with the testing package's
-// benchmark driver — the allocation trajectory BENCH_*.json tracks across
+// benchmark driver — the allocation trajectory docs/bench-history tracks across
 // PRs. The bodies are the exact ones bench_test.go runs (see
 // internal/benchcases), so the recorded numbers and the CI benchmark smoke
 // job can never measure different code.

@@ -29,7 +29,7 @@ type scalingPoint struct {
 }
 
 // scalingReport is the schema of the -parallel-scaling output
-// (BENCH_PR8.json). Note records the host caveat: on a single-CPU machine
+// (docs/bench-history/BENCH_PR8.json). Note records the host caveat: on a single-CPU machine
 // the curve measures scheduling overhead, not speedup — the multi-core CI
 // runners produce the real curve.
 type scalingReport struct {

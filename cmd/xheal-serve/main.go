@@ -11,11 +11,11 @@
 //	xheal-serve -addr :8080 -workload regular -n 128 -event-log run.log
 //	xheal-serve -engine dist -workload er -n 64            # host the §5 engine
 //	xheal-serve -data-dir /var/lib/xheal                   # durable: checkpoints + segmented log, crash recovery
-//	xheal-serve -smoke                                     # CI smoke: 100 events end-to-end
-//	xheal-serve -loadgen -clients 8 -events 500 -bench-out BENCH_PR4.json
-//	xheal-serve -scenario flashcrowd -scenario-out report.json   # chaos scenario over HTTP with SLO gate
-//	xheal-serve -scenario readmix -engine dist -soak-minutes 10  # durable long soak with recovery probes
-//	xheal-serve -crashloop 10                              # SIGKILL/restart harness: zero acknowledged loss
+//
+// The binary serves and does nothing else. Its adversary — chaos scenarios,
+// SLO gates, SIGKILL/restart drills — is cmd/xheal-drill, which runs this
+// daemon as a child process and speaks to it only over HTTP; serving
+// performance is measured by the repository benchmark (go run ./benchmark).
 //
 // Endpoints:
 //
@@ -35,7 +35,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -45,7 +44,6 @@ import (
 	"github.com/xheal/xheal/internal/dist"
 	"github.com/xheal/xheal/internal/graph"
 	"github.com/xheal/xheal/internal/obs"
-	"github.com/xheal/xheal/internal/scenario"
 	"github.com/xheal/xheal/internal/server"
 	"github.com/xheal/xheal/internal/trace"
 	"github.com/xheal/xheal/internal/workload"
@@ -55,7 +53,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// options collects the parsed flags shared by the three modes.
+// options collects the parsed flags.
 type options struct {
 	addr     string
 	engine   string
@@ -79,34 +77,7 @@ type options struct {
 	refreshEvery int
 	stretchSrcs  int
 	auditEvery   int
-	invBudget    int
-
-	smoke        bool
-	loadgen      bool
-	clients      int
-	events       int
-	deleteBias   float64
-	attach       int
-	benchOut     string
-	sloP99TickMS float64
-
-	scenarioName string
-	scenarioOut  string
-	soakMinutes  float64
-	wave         int
-	rate         float64
-	sloMaxQueue  int
-
-	crashloop     int
-	crashInterval time.Duration
-
-	// set records which flags were passed explicitly, so scenario mode can
-	// tell a deliberate -n/-events/-seed override from a flag default.
-	set map[string]bool
 }
-
-// flagSet reports whether the named flag was passed on the command line.
-func (o options) flagSet(name string) bool { return o.set[name] }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xheal-serve", flag.ContinueOnError)
@@ -131,59 +102,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.verifyRecovery, "verify-recovery", false, "durable mode: at startup, assert the recovered state is byte-identical to a from-genesis replay of the archived log")
 	fs.IntVar(&o.refreshEvery, "refresh-every", 32, "applied ticks between background refreshes of cached connectivity/lambda2/stretch")
 	fs.IntVar(&o.stretchSrcs, "stretch-sources", 4, "BFS source reservoir size for the sampled-stretch estimate")
-	fs.IntVar(&o.auditEvery, "audit-every", 0, "cross-check the incremental metrics against a full recomputation every this many ticks (0 = off; -smoke defaults to 16); load/scenario modes then fail on a divergence or if no audit ran")
-	fs.IntVar(&o.invBudget, "invariant-budget", 0, "sampled invariant checking: nodes/edges/clouds examined per check, rotating over the whole structure (0 = full sweep)")
-	fs.BoolVar(&o.smoke, "smoke", false, "self-test: start the daemon, ingest 100 events over HTTP, verify, shut down")
-	fs.BoolVar(&o.loadgen, "loadgen", false, "load generator: hammer an in-process daemon with concurrent clients")
-	fs.IntVar(&o.clients, "clients", 8, "loadgen: concurrent clients")
-	fs.IntVar(&o.events, "events", 500, "loadgen: events per client")
-	fs.Float64Var(&o.deleteBias, "delete-bias", 0.35, "loadgen: per-event probability of deleting an owned node")
-	fs.IntVar(&o.attach, "attach", 3, "loadgen: max attachments per insertion")
-	fs.StringVar(&o.benchOut, "bench-out", "", "loadgen: write throughput results to this JSON file (BENCH_PR4.json)")
-	fs.Float64Var(&o.sloP99TickMS, "slo-p99-tick-ms", 0, "loadgen: fail unless p99 tick latency is at most this many ms (0 = no bound)")
-	fs.StringVar(&o.scenarioName, "scenario", "", "chaos scenario mode: run this named scenario over HTTP with SLO assertions (valid: "+strings.Join(scenario.Names(), " ")+")")
-	fs.StringVar(&o.scenarioOut, "scenario-out", "", "scenario mode: write the machine-readable pass/fail report to this JSON file")
-	fs.Float64Var(&o.soakMinutes, "soak-minutes", 0, "scenario mode: run a durable long soak for this many minutes with periodic checkpoint/recovery-identity probes (0 = finite run of the scenario's event budget)")
-	fs.IntVar(&o.wave, "wave", 0, "scenario mode: events per burst wave (0 = scenario default)")
-	fs.Float64Var(&o.rate, "rate", 0, "scenario mode: target sustained events/sec (0 = scenario default)")
-	fs.IntVar(&o.sloMaxQueue, "slo-max-queue", 0, "scenario mode: fail if the sampled ingest queue depth ever exceeds this (0 = the -queue bound)")
-	fs.IntVar(&o.crashloop, "crashloop", 0, "crash harness: run this many SIGKILL/restart cycles against a child daemon under load, then verify zero acknowledged loss")
-	fs.DurationVar(&o.crashInterval, "crash-interval", 150*time.Millisecond, "crashloop: load duration before each SIGKILL")
+	fs.IntVar(&o.auditEvery, "audit-every", 0, "cross-check the incremental metrics against a full recomputation every this many ticks (0 = off); a divergence degrades /v1/health")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	o.set = make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
-
-	switch {
-	case o.crashloop > 0:
-		return runCrashloop(o, stdout, stderr)
-	case o.scenarioName != "":
-		return runScenario(o, stdout, stderr)
-	case o.smoke:
-		o.clients, o.events = 1, 100
-		if !o.flagSet("audit-every") {
-			o.auditEvery = 16 // ~100 single-event ticks: the tracker's oracle runs a handful of times
-		}
-		return runLoad(o, stdout, stderr, true)
-	case o.loadgen:
-		return runLoad(o, stdout, stderr, false)
-	default:
-		return serve(o, stdout, stderr)
-	}
+	return serve(o, stdout, stderr)
 }
 
 // daemon is one assembled serving stack.
 type daemon struct {
-	srv      *server.Server
-	eng      server.Engine // the engine the server owns (read only after srv.Close)
-	g0       *graph.Graph
-	logPath  string
-	spanPath string
-	rec      *obs.Recorder
-	spanW    *obs.SpanWriter
-	dist     *dist.Engine // non-nil when -engine dist, for cost-ledger cross-checks
-	cleanup  func()
+	srv     *server.Server
+	g0      *graph.Graph
+	rec     *obs.Recorder
+	cleanup func()
 
 	// Durable-mode facts (nil/empty otherwise): what startup recovery did,
 	// and whether the recovery-identity check ran and passed.
@@ -232,14 +163,13 @@ func buildDaemon(o options) (*daemon, error) {
 	}
 
 	cfg := server.Config{
-		Tick:            o.tick,
-		QueueDepth:      o.queue,
-		MaxBatch:        o.maxBatch,
-		Parallelism:     o.parallel,
-		RefreshEvery:    o.refreshEvery,
-		StretchSources:  o.stretchSrcs,
-		AuditEvery:      o.auditEvery,
-		InvariantBudget: o.invBudget,
+		Tick:           o.tick,
+		QueueDepth:     o.queue,
+		MaxBatch:       o.maxBatch,
+		Parallelism:    o.parallel,
+		RefreshEvery:   o.refreshEvery,
+		StretchSources: o.stretchSrcs,
+		AuditEvery:     o.auditEvery,
 	}
 	var eng server.Engine
 	// A dist engine owns one goroutine per node; a seq engine has nothing
@@ -325,16 +255,10 @@ func buildDaemon(o options) (*daemon, error) {
 		spanW = obs.NewSpanWriter(spanFile)
 		cfg.Recorder = obs.NewRecorder(spanW, obs.MustHistogram(obs.LatencyBuckets()))
 	}
-	distEng, _ := eng.(*dist.Engine)
 	d := &daemon{
 		srv:       server.New(eng, cfg),
-		eng:       eng,
 		g0:        g0,
-		logPath:   o.eventLog,
-		spanPath:  o.spanLog,
 		rec:       cfg.Recorder,
-		spanW:     spanW,
-		dist:      distEng,
 		recovered: recovered,
 		verified:  verified,
 		cleanup: func() {
@@ -351,17 +275,7 @@ func buildDaemon(o options) (*daemon, error) {
 	return d, nil
 }
 
-// closeSpanLog flushes and closes the span log early (before cleanup), so a
-// verifier can read it back. Idempotent via SpanWriter.Close.
-func (d *daemon) closeSpanLog() error {
-	if d.spanW == nil {
-		return nil
-	}
-	return d.spanW.Close()
-}
-
-// serve is the daemon mode: listen until SIGINT/SIGTERM, then drain and
-// exit.
+// serve listens until SIGINT/SIGTERM, then drains and exits.
 func serve(o options, stdout, stderr io.Writer) int {
 	d, err := buildDaemon(o)
 	if err != nil {
@@ -437,7 +351,7 @@ func serve(o options, stdout, stderr io.Writer) int {
 	}
 	if d.rec != nil {
 		fmt.Fprintf(stdout, "spans: %d emitted, %d dropped (%s)\n",
-			d.rec.Spans(), d.rec.Dropped(), d.spanPath)
+			d.rec.Spans(), d.rec.Dropped(), o.spanLog)
 	}
 	return 0
 }

@@ -2,71 +2,57 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
+	"net/http/httptest"
 	"testing"
 )
 
-func TestSmokeMode(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-smoke", "-tick", "0"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("smoke exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "smoke ok: 100 events") {
-		t.Fatalf("smoke output missing verdict:\n%s", out)
-	}
-	if !strings.Contains(out, "replays to identical graph") {
-		t.Fatalf("smoke output missing replay check:\n%s", out)
-	}
-}
-
-func TestLoadgenWritesBenchJSON(t *testing.T) {
-	benchOut := filepath.Join(t.TempDir(), "bench.json")
-	logOut := filepath.Join(t.TempDir(), "events.log")
-	var stdout, stderr bytes.Buffer
-	args := []string{
-		"-loadgen", "-clients", "3", "-events", "40", "-tick", "0",
-		"-bench-out", benchOut, "-event-log", logOut,
-	}
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("loadgen exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	data, err := os.ReadFile(benchOut)
-	if err != nil {
-		t.Fatalf("bench-out: %v", err)
-	}
-	var rep loadReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench-out decode: %v", err)
-	}
-	if rep.EventsTotal != 120 || rep.EventsPerSec <= 0 || !rep.ReplayIdentical || rep.Rejected != 0 {
-		t.Fatalf("bench report = %+v", rep)
-	}
-	if _, err := os.Stat(logOut); err != nil {
-		t.Fatalf("event log: %v", err)
-	}
-}
-
-func TestLoadgenDistEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dist loadgen is the slow path")
-	}
-	var stdout, stderr bytes.Buffer
-	args := []string{"-loadgen", "-engine", "dist", "-clients", "2", "-events", "25", "-tick", "0"}
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("dist loadgen exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-}
-
+// TestBadFlags: bad values fail the start, and the flags of the harness
+// modes that moved to cmd/xheal-drill are no longer flags of the daemon.
 func TestBadFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-engine", "quantum", "-smoke"}, &stdout, &stderr); code == 0 {
-		t.Fatal("unknown engine accepted")
+	if code := run([]string{"-engine", "quantum"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("unknown engine: exit %d, want 1", code)
 	}
-	if code := run([]string{"-workload", "nope", "-smoke"}, &stdout, &stderr); code == 0 {
-		t.Fatal("unknown workload accepted")
+	if code := run([]string{"-workload", "nope"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("unknown workload: exit %d, want 1", code)
+	}
+	for _, removed := range []string{
+		"-smoke", "-loadgen", "-clients", "-events", "-delete-bias", "-attach", "-bench-out", "-slo-p99-tick-ms",
+		"-scenario", "-scenario-out", "-soak-minutes", "-wave", "-rate", "-slo-max-queue",
+		"-crashloop", "-crash-interval",
+	} {
+		if code := run([]string{removed, "1"}, &stdout, &stderr); code != 2 {
+			t.Fatalf("%s: exit %d, want 2 (not a daemon flag)", removed, code)
+		}
+	}
+}
+
+// TestPprofFlag: -pprof exposes the profile index on the serving mux without
+// disturbing the API routes.
+func TestPprofFlag(t *testing.T) {
+	d, err := buildDaemon(options{engine: "seq", wl: "regular", n: 16, kappa: 4, seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.cleanup()
+	defer d.srv.Close()
+
+	h := d.handler(options{pprof: true})
+	for path, want := range map[string]int{
+		"/debug/pprof/": 200,
+		"/v1/health":    200,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != want {
+			t.Fatalf("GET %s: %d, want %d", path, rec.Code, want)
+		}
+	}
+	// Without the flag the profiler is absent.
+	h = d.handler(options{})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
+	if rec.Code == 200 {
+		t.Fatal("pprof exposed without -pprof")
 	}
 }

@@ -14,8 +14,8 @@ import (
 // inserted plus a fixed set of anchor nodes it was told about at connect
 // time. Streams with disjoint namespaces and delete-only-your-own behavior
 // never conflict with each other, no matter how their events interleave,
-// which is exactly what a load generator needs to drive a concurrent server
-// at full speed while the run stays verifiable.
+// which is exactly what internal/server's tests need to drive a concurrent
+// server at full speed while the run stays verifiable.
 
 // ClientStreamBase is the start of the client-stream ID space. Each client
 // owns the range [base+client·stride, base+(client+1)·stride); the space is
@@ -41,7 +41,7 @@ type ClientStream struct {
 	maxAttach  int
 }
 
-// NewClientStream returns the event stream for one load-generator client.
+// NewClientStream returns the event stream for one concurrent client.
 // client numbers its namespace; anchors are initial-topology nodes that no
 // client ever deletes; deleteBias in [0,1) is the probability of deleting
 // one of the client's own earlier insertions instead of inserting.

@@ -29,6 +29,7 @@
 // topology at all. Each stream owns a disjoint node-ID namespace, attaches
 // only to fixed anchor nodes or its own insertions, and deletes only nodes
 // it owns — so any number of concurrent streams interleave without ever
-// producing a conflicting event, which is what the load generator needs to
-// drive the daemon at full speed while keeping the run verifiable.
+// producing a conflicting event. It is the client of internal/server's
+// concurrency tests, which need many writers at full speed and a run that
+// stays verifiable; cmd/xheal-drill's single writer uses internal/scenario.
 package adversary

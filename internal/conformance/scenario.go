@@ -32,7 +32,7 @@ func RunScenario(name string, p scenario.Params, opts Options) (*scenario.Compil
 // the serving daemon's batched timesteps at the scenario's wave size, and
 // runs the batched lockstep harness (parallel centralized apply when
 // opts.Parallelism > 1). This is the conformance leg closest to what
-// `xheal-serve -scenario` does in production shape.
+// `xheal-drill -scenario` does against a real daemon.
 func RunScenarioBatched(name string, p scenario.Params, opts Options) (*scenario.Compiled, error) {
 	comp, err := scenario.Compile(name, p)
 	if err != nil {

@@ -2,8 +2,8 @@ package obs
 
 import "runtime"
 
-// Env is the benchmark-environment provenance block embedded in every
-// BENCH_*.json: enough to tell whether two recorded runs are comparable.
+// Env is the environment provenance block embedded in every bench and drill
+// report: enough to tell whether two recorded runs are comparable.
 type Env struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`

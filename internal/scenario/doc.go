@@ -13,7 +13,7 @@
 // Every scenario is deterministic in (name, Params): the genesis topology
 // comes from workload.ByName(sc.Workload, p.N, rand.New(rand.NewSource(
 // p.Seed))) and the event stream from an rng seeded with p.Seed+1 — the same
-// split the conformance matrix uses — so `xheal-serve -scenario X` and
+// split the conformance matrix uses — so `xheal-drill -scenario X` and
 // conformance.RunScenario walk identical schedules. Compile renders the
 // schedule as adversary.EncodeScript text, which makes every scenario run
 // replayable through xheal-sim -replay and ddmin-shrinkable by

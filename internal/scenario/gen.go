@@ -8,7 +8,7 @@ import (
 )
 
 // registry holds the five chaos shapes. Keep Defaults CI-sized: the smoke
-// consumers (conformance.RunScenario -short, the serve scenario smoke) run
+// consumers (conformance.RunScenario -short, the xheal-drill smokes) run
 // every entry per PR, so defaults must finish in seconds; soak scales them
 // up via flags.
 var registry = map[string]*Scenario{

@@ -13,7 +13,7 @@ import (
 // IDBase is the first node ID a scenario stream allocates for inserted
 // nodes. It matches the adversary package's allocator base, far above any
 // genesis ID, and stays below adversary.ClientStreamBase so scenario traffic
-// and loadgen client traffic can share a daemon without colliding.
+// and client-stream traffic can share a daemon without colliding.
 const IDBase graph.NodeID = 1 << 20
 
 // Params sizes and paces a scenario. Zero fields are filled from the
@@ -28,7 +28,7 @@ type Params struct {
 	// conflict-free, so a wave can be submitted as one serving batch.
 	Wave int
 	// Rate is the target sustained mutation rate in events/second for the
-	// serving loadgen mode (0 = unpaced). Offline consumers ignore it.
+	// drill (cmd/xheal-drill; 0 = unpaced). Offline consumers ignore it.
 	Rate float64
 	// Seed derives both the genesis topology (Seed) and the event stream
 	// (Seed+1), mirroring the conformance matrix's Cell convention.
@@ -69,7 +69,7 @@ type Scenario struct {
 	Description string
 	// Workload names the genesis topology family (workload.ByName).
 	Workload string
-	// ReadsPerWave is how many health/metrics reads the serving loadgen
+	// ReadsPerWave is how many health/metrics reads cmd/xheal-drill
 	// interleaves per mutation wave (mixed read/heal traffic); 0 = none.
 	ReadsPerWave int
 	// Defaults are the parameters a zero Params resolves to.

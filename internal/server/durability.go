@@ -249,9 +249,11 @@ func Recover(rc RecoverConfig) (*Recovered, error) {
 }
 
 // VerifyRecovery asserts recovery identity: a fresh engine replaying the full
-// from-genesis history (archived + live log segments) must reach a
-// byte-identical snapshot to the recovered engine. Requires the log to have
-// been compacted in archive mode (Config.ArchiveLog) so the prefix survives.
+// from-genesis history (archived + live log segments) one event per timestep
+// must reach a byte-identical snapshot to the recovered engine — the
+// strongest replay check the snapshot layer offers, and engine batching must
+// not affect it. Requires the log to have been compacted in archive mode
+// (Config.ArchiveLog) so the prefix survives.
 func VerifyRecovery(recovered Engine, engineName, logDir string, kappa int, seed int64) error {
 	full, err := trace.LoadFullLog(logDir)
 	if err != nil {
@@ -261,14 +263,6 @@ func VerifyRecovery(recovered Engine, engineName, logDir string, kappa int, seed
 		return fmt.Errorf("%w: genesis history compacted away (run with log archiving to verify)",
 			ErrRecoveryMismatch)
 	}
-	return VerifyReplay(recovered, engineName, full, kappa, seed)
-}
-
-// VerifyReplay is the replay-identity check itself: a fresh engine of the
-// named kind replays the from-genesis trace one event per timestep and must
-// reach a snapshot byte-identical to eng's — the strongest replay check the
-// snapshot layer offers, and engine batching must not affect it.
-func VerifyReplay(eng Engine, engineName string, full *trace.Trace, kappa int, seed int64) error {
 	fresh, err := NewEngine(engineName, kappa, seed, full.Initial())
 	if err != nil {
 		return err
@@ -283,7 +277,7 @@ func VerifyReplay(eng Engine, engineName string, full *trace.Trace, kappa int, s
 	if err != nil {
 		return err
 	}
-	got, err := eng.SnapshotState()
+	got, err := recovered.SnapshotState()
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@ import (
 	"github.com/xheal/xheal/internal/adversary"
 	"github.com/xheal/xheal/internal/core"
 	"github.com/xheal/xheal/internal/graph"
-	"github.com/xheal/xheal/internal/trace"
 )
 
 // maxBodyBytes bounds one ingest request body (1 MiB is thousands of
@@ -69,23 +68,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, 0, err)
 		return
 	}
-	// Enqueue the whole array as one admission-ring operation before
-	// awaiting any verdict: the group lands contiguously (preserving the
-	// array's order), coalesces into as few ticks as possible, and costs
-	// one atomic reservation plus one shard lock — not one synchronized
-	// operation per event.
+	// Enqueue the whole array in one intake operation before awaiting any
+	// verdict: the group lands contiguously (preserving the array's order)
+	// and coalesces into as few ticks as possible.
 	all := make([]*submission, len(events))
 	now := time.Now()
 	for i, ev := range events {
 		all[i] = &submission{ev: ev, done: make(chan error, 1), at: now}
 	}
 	accepted, firstErr := s.submitMany(all)
-	subs := all[:accepted]
-	if firstErr == nil && accepted < len(all) {
-		firstErr = ErrBacklog
-	}
 	applied := 0
-	for _, sub := range subs {
+	for _, sub := range all[:accepted] {
 		select {
 		case err := <-sub.done:
 			switch {
@@ -102,6 +95,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if firstErr != nil && errors.Is(firstErr, r.Context().Err()) {
 			break // client gone; stop awaiting verdicts (events still apply)
 		}
+	}
+	// A verdict error outranks the tail's backlog refusal: 503 must mean
+	// "applied is a prefix of the array, resend the rest", and a rejection
+	// inside the accepted part makes applied a count, not a prefix.
+	if firstErr == nil && accepted < len(all) {
+		firstErr = ErrBacklog
 	}
 	if firstErr != nil {
 		httpError(w, statusFor(firstErr), applied, firstErr)
@@ -186,44 +185,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(s.PrometheusText()))
-}
-
-// ReplayLog loads an event log (or recorded trace) and replays it through a
-// fresh sequential reference state under the given κ and seed, returning
-// the replayed final graph. A serving run is faithful iff this equals the
-// server's final graph — the serve-equivalent of the conformance check.
-func ReplayLog(r io.Reader, kappa int, seed int64) (*graph.Graph, error) {
-	tr, err := trace.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	if tr.BaseEvents > 0 {
-		// An anchored segment holds only a tail; replaying it from the
-		// genesis header would silently skip the prefix.
-		return nil, fmt.Errorf("server: log segment is anchored at event %d; recover via checkpoint + tail instead", tr.BaseEvents)
-	}
-	st, err := core.NewState(core.Config{Kappa: kappa, Seed: seed}, tr.Initial())
-	if err != nil {
-		return nil, err
-	}
-	adv, err := tr.Adversary()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; ; i++ {
-		ev, ok := adv.Next(st.Graph())
-		if !ok {
-			break
-		}
-		switch ev.Kind {
-		case adversary.Insert:
-			err = st.InsertNode(ev.Node, ev.Neighbors)
-		case adversary.Delete:
-			err = st.DeleteNode(ev.Node)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("replay event %d: %w", i, err)
-		}
-	}
-	return st.Graph(), nil
 }

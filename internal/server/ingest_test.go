@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/xheal/xheal/internal/adversary"
+	"github.com/xheal/xheal/internal/core"
 	"github.com/xheal/xheal/internal/graph"
 )
 
@@ -121,59 +122,87 @@ func TestIntakeOrderingContract(t *testing.T) {
 // TestIntakeFullQueueAcceptsPrefix: an array that does not fit is accepted up
 // to the queue's free capacity — a prefix, in order — and the rest is refused
 // with ErrBacklog, which the HTTP handler reports next to the applied count.
+// 503 therefore always means "applied is a prefix, resend the rest": when the
+// accepted part itself contains a rejected event, that verdict (409) wins
+// over the tail's backlog refusal, because applied is then no longer a prefix.
 func TestIntakeFullQueueAcceptsPrefix(t *testing.T) {
-	g0, _ := testTopology(t, 8)
-	s, st := newSeqServer(t, g0, Config{QueueDepth: 4})
-	defer s.Close()
+	insert := func(n graph.NodeID) IngestEvent {
+		return IngestEvent{Kind: "insert", Node: n, Neighbors: []graph.NodeID{0}}
+	}
+	for _, tc := range []struct {
+		name       string
+		depth      int
+		events     []IngestEvent
+		code       int
+		applied    int
+		errIs      error
+		backlogged uint64
+		alive      map[graph.NodeID]bool
+	}{
+		{
+			name:  "clean prefix",
+			depth: 4, events: []IngestEvent{insert(200), insert(201), insert(202), insert(203), insert(204), insert(205)},
+			code: http.StatusServiceUnavailable, applied: 4, errIs: ErrBacklog, backlogged: 2,
+			alive: map[graph.NodeID]bool{200: true, 201: true, 202: true, 203: true, 204: false, 205: false},
+		},
+		{
+			name:  "rejection inside the accepted part",
+			depth: 2, events: []IngestEvent{insert(200), {Kind: "delete", Node: 999}, insert(201), insert(202)},
+			code: http.StatusConflict, applied: 1, errIs: core.ErrNodeMissing, backlogged: 2,
+			alive: map[graph.NodeID]bool{200: true, 201: false, 202: false},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g0, _ := testTopology(t, 8)
+			s, st := newSeqServer(t, g0, Config{QueueDepth: tc.depth})
+			defer s.Close()
 
-	// Stall the loop inside apply (it needs s.mu) with one event in hand, so
-	// the queue behind it keeps whatever is enqueued next.
-	s.mu.Lock()
-	head := &submission{
-		ev:   adversary.Event{Kind: adversary.Insert, Node: 100, Neighbors: []graph.NodeID{0}},
-		done: make(chan error, 1),
-		at:   time.Now(),
-	}
-	if s.intake.enqueue([]*submission{head}) != 1 {
-		t.Fatal("intake refused the head event")
-	}
-	for s.intake.len() != 0 {
-		time.Sleep(time.Millisecond)
-	}
+			// Stall the loop inside apply (it needs s.mu) with one event in
+			// hand, so the queue behind it keeps whatever is enqueued next.
+			s.mu.Lock()
+			head := &submission{
+				ev:   adversary.Event{Kind: adversary.Insert, Node: 100, Neighbors: []graph.NodeID{0}},
+				done: make(chan error, 1),
+				at:   time.Now(),
+			}
+			if s.intake.enqueue([]*submission{head}) != 1 {
+				t.Fatal("intake refused the head event")
+			}
+			for s.intake.len() != 0 {
+				time.Sleep(time.Millisecond)
+			}
 
-	events := make([]IngestEvent, 6)
-	for i := range events {
-		events[i] = IngestEvent{Kind: "insert", Node: graph.NodeID(200 + i), Neighbors: []graph.NodeID{0}}
-	}
-	body, err := json.Marshal(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(body)))
-	}()
-	for s.intake.len() != 4 { // the handler has enqueued its prefix
-		time.Sleep(time.Millisecond)
-	}
-	s.mu.Unlock()
-	<-served
+			body, err := json.Marshal(tc.events)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(body)))
+			}()
+			for s.intake.len() != tc.depth { // the handler has enqueued its prefix
+				time.Sleep(time.Millisecond)
+			}
+			s.mu.Unlock()
+			<-served
 
-	var resp IngestResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("decode response %q: %v", rec.Body.String(), err)
-	}
-	if rec.Code != http.StatusServiceUnavailable || resp.Applied != 4 || !strings.Contains(resp.Error, ErrBacklog.Error()) {
-		t.Fatalf("response = HTTP %d %+v, want 503 with 4 applied and ErrBacklog", rec.Code, resp)
-	}
-	if got := s.Counters().EventsBacklogged; got != 2 {
-		t.Fatalf("EventsBacklogged = %d, want 2", got)
-	}
-	for i := range events {
-		if alive, want := st.Alive(graph.NodeID(200+i)), i < 4; alive != want {
-			t.Fatalf("node %d alive = %v, want %v: the accepted part is not the array's prefix", 200+i, alive, want)
-		}
+			var resp IngestResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("decode response %q: %v", rec.Body.String(), err)
+			}
+			if rec.Code != tc.code || resp.Applied != tc.applied || !strings.Contains(resp.Error, tc.errIs.Error()) {
+				t.Fatalf("response = HTTP %d %+v, want %d with %d applied and %q", rec.Code, resp, tc.code, tc.applied, tc.errIs)
+			}
+			if got := s.Counters().EventsBacklogged; got != tc.backlogged {
+				t.Fatalf("EventsBacklogged = %d, want %d", got, tc.backlogged)
+			}
+			for n, want := range tc.alive {
+				if alive := st.Alive(n); alive != want {
+					t.Fatalf("node %d alive = %v, want %v: the accepted part is not the array's prefix", n, alive, want)
+				}
+			}
+		})
 	}
 }

@@ -17,9 +17,9 @@ type DeltaBatcher interface {
 	ApplyBatchDelta(b core.Batch, workers int) (core.TickDelta, error)
 }
 
-// SampledChecker is the Engine facet Config.InvariantBudget uses: check a
-// budgeted, rotating sample of the structural invariants instead of the
-// full sweep.
+// SampledChecker is the Engine facet that checks a budgeted, rotating
+// sample of the structural invariants instead of the full sweep. The server
+// does not call it; the frozen benchmark/traced.go names it and times it.
 type SampledChecker interface {
 	CheckInvariantsSampled(budget int) error
 }
@@ -229,9 +229,9 @@ func (s *Server) liveHealth(c Counters, logErr error) Health {
 	}
 }
 
-// LiveAuditError returns the first tracker audit divergence, if any — nil
+// liveAuditError returns the first tracker audit divergence, if any — nil
 // in a healthy daemon.
-func (s *Server) LiveAuditError() error {
+func (s *Server) liveAuditError() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.liveAuditErr == nil {

@@ -61,32 +61,10 @@ func TestLiveHealthIntegration(t *testing.T) {
 	if h.Live.Audits == 0 || h.Live.AuditFailures != 0 {
 		t.Fatalf("audit telemetry: %+v", h.Live)
 	}
-	if err := s.LiveAuditError(); err != nil {
+	if err := s.liveAuditError(); err != nil {
 		t.Fatal(err)
 	}
 	if h.Connected != st.Graph().IsConnected() {
 		t.Fatalf("tracked connectivity %v, graph %v", h.Connected, st.Graph().IsConnected())
-	}
-}
-
-// TestInvariantBudgetWiring: with a budget set, Server.CheckInvariants uses
-// the sampled checker and stays nil on a healthy daemon across enough calls
-// to complete several rotations.
-func TestInvariantBudgetWiring(t *testing.T) {
-	g0, anchors := testTopology(t, 12)
-	s, _ := newSeqServer(t, g0, Config{Tick: 100 * time.Microsecond, InvariantBudget: 3})
-	stream := adversary.NewClientStream(2, anchors, 0.35, 3, 700)
-	for i := 0; i < 50; i++ {
-		if err := s.Submit(context.Background(), stream.Next()); err != nil {
-			t.Fatalf("event %d: %v", i, err)
-		}
-	}
-	for i := 0; i < 64; i++ {
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("sampled invariants call %d: %v", i, err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 }

@@ -212,10 +212,8 @@ func TestParallelConflictStorm(t *testing.T) {
 	// A 5ms tick gives each client's insert+delete pair a wide window to land
 	// in the same batch; the delete is submitted while its insert is still
 	// pending, so most rounds force a carry. The huge RefreshEvery keeps the
-	// background λ₂ refresher off the CPU after its seeding run: each round's
-	// delete is valid only if the insert goroutine wins its 1ms head start,
-	// and on a single-core -race run a Lanczos burst can starve it past that.
-	// The live path has its own concurrency coverage in live_test.go.
+	// background λ₂ refresher off the CPU after its seeding run; the live
+	// path has its own concurrency coverage in live_test.go.
 	s, st := newSeqServer(t, g0, Config{Tick: 5 * time.Millisecond, Log: lw, Parallelism: 4, MaxDefer: 64, RefreshEvery: 1 << 30})
 
 	var wg sync.WaitGroup
@@ -226,19 +224,20 @@ func TestParallelConflictStorm(t *testing.T) {
 			base := graph.NodeID(1000 + 1000*c) // IDs are never reusable after deletion
 			for i := 0; i < rounds; i++ {
 				node := base + graph.NodeID(i)
-				insDone := make(chan error, 1)
-				go func() {
-					insDone <- s.Submit(context.Background(),
-						adversary.Event{Kind: adversary.Insert, Node: node,
-							Neighbors: []graph.NodeID{graph.NodeID(c % 4), graph.NodeID(4 + c%4)}})
-				}()
-				time.Sleep(time.Millisecond) // same tick window, insert first
+				// The insert is in the queue before the delete is submitted:
+				// same tick window, insert first, on any scheduler.
+				ins, err := s.submitAsync(adversary.Event{Kind: adversary.Insert, Node: node,
+					Neighbors: []graph.NodeID{graph.NodeID(c % 4), graph.NodeID(4 + c%4)}})
+				if err != nil {
+					t.Errorf("client %d insert %d: %v", c, node, err)
+					return
+				}
 				if err := s.Submit(context.Background(),
 					adversary.Event{Kind: adversary.Delete, Node: node}); err != nil {
 					t.Errorf("client %d delete %d: %v", c, node, err)
 					return
 				}
-				if err := <-insDone; err != nil {
+				if err := <-ins.done; err != nil {
 					t.Errorf("client %d insert %d: %v", c, node, err)
 					return
 				}
@@ -258,9 +257,9 @@ func TestParallelConflictStorm(t *testing.T) {
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatalf("CheckInvariants after conflict storm: %v", err)
 	}
-	replayed, err := ReplayLog(&logBuf, st.Kappa(), 11)
+	replayed, err := replayLog(&logBuf, st.Kappa(), 11)
 	if err != nil {
-		t.Fatalf("ReplayLog: %v", err)
+		t.Fatalf("replayLog: %v", err)
 	}
 	if !replayed.Equal(st.Graph()) {
 		t.Fatalf("replay diverged after conflict storm: replay n=%d m=%d, live n=%d m=%d",

@@ -27,7 +27,6 @@ type Engine interface {
 	DeltaBatcher
 	ApplyBatch(core.Batch) error
 	Admitter
-	SampledChecker
 	CheckInvariants() error
 	Snapshotter
 	SetRecorder(*obs.Recorder)
@@ -129,11 +128,6 @@ type Config struct {
 	// the incremental layer's correctness oracle, priced for test and canary
 	// deployments. 0 disables auditing.
 	AuditEvery int
-	// InvariantBudget, when > 0, makes CheckInvariants examine a rotating
-	// sample of that many nodes/edges/clouds per call instead of sweeping
-	// everything; successive calls cover the full structure. 0 keeps the
-	// full sweep.
-	InvariantBudget int
 }
 
 // ParallelBatcher names core.State's parallel entry point. The server does
@@ -814,28 +808,6 @@ func (s *Server) Health() Health {
 		}
 	}
 	return h
-}
-
-// CheckInvariants runs the engine's structural invariant check under the
-// server's lock (safe while serving). With Config.InvariantBudget set, each
-// call checks a rotating budgeted sample instead of sweeping the whole
-// structure; successive calls cover everything (see
-// core.State.CheckInvariantsSampled).
-func (s *Server) CheckInvariants() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b := s.cfg.InvariantBudget; b > 0 {
-		return s.eng.CheckInvariantsSampled(b)
-	}
-	return s.eng.CheckInvariants()
-}
-
-// Graph returns a copy of the current healed graph, safe to use after the
-// server keeps mutating.
-func (s *Server) Graph() *graph.Graph {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Graph().Clone()
 }
 
 // Close stops intake, drains and applies everything already accepted,

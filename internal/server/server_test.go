@@ -15,6 +15,7 @@ import (
 	"github.com/xheal/xheal/internal/core"
 	"github.com/xheal/xheal/internal/dist"
 	"github.com/xheal/xheal/internal/graph"
+	"github.com/xheal/xheal/internal/obs"
 	"github.com/xheal/xheal/internal/trace"
 	"github.com/xheal/xheal/internal/workload"
 )
@@ -98,9 +99,9 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatalf("CheckInvariants after load: %v", err)
 	}
 
-	replayed, err := ReplayLog(&logBuf, st.Kappa(), 11)
+	replayed, err := replayLog(&logBuf, st.Kappa(), 11)
 	if err != nil {
-		t.Fatalf("ReplayLog: %v", err)
+		t.Fatalf("replayLog: %v", err)
 	}
 	if !replayed.Equal(st.Graph()) {
 		t.Fatalf("event-log replay diverged: replay n=%d m=%d, live n=%d m=%d",
@@ -109,7 +110,10 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 // Same concurrent load with the distributed protocol engine hosted behind
-// the same Server — the ApplyBatch facade parity in action.
+// the same Server — the ApplyBatch facade parity in action. With a Recorder
+// attached it is also the one place the span log, the engine's cost ledger
+// and the event log are held against each other through the server: a drill
+// outside the process can read spans and log, but not the ledger.
 func TestConcurrentClientsDistributed(t *testing.T) {
 	const clients, events = 4, 25
 	g0, anchors := testTopology(t, 10)
@@ -124,7 +128,9 @@ func TestConcurrentClientsDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("log writer: %v", err)
 	}
-	s := New(eng, Config{Tick: time.Millisecond, Log: lw})
+	var spanBuf bytes.Buffer
+	spanW := obs.NewSpanWriter(&spanBuf)
+	s := New(eng, Config{Tick: time.Millisecond, Log: lw, Recorder: obs.NewRecorder(spanW, nil)})
 
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
@@ -153,12 +159,47 @@ func TestConcurrentClientsDistributed(t *testing.T) {
 	if err := eng.CheckInvariants(); err != nil {
 		t.Fatalf("CheckInvariants (incl. local views): %v", err)
 	}
-	replayed, err := ReplayLog(&logBuf, eng.Kappa(), 11)
+	logged := logBuf.Bytes()
+	replayed, err := replayLog(bytes.NewReader(logged), eng.Kappa(), 11)
 	if err != nil {
-		t.Fatalf("ReplayLog: %v", err)
+		t.Fatalf("replayLog: %v", err)
 	}
 	if !replayed.Equal(eng.Graph()) {
 		t.Fatal("event-log replay diverged from the distributed engine's graph")
+	}
+
+	// One span per applied deletion; each names its delete line of the event
+	// log and carries the cost-ledger entry of the same ordinal.
+	if err := spanW.Close(); err != nil {
+		t.Fatalf("close span log: %v", err)
+	}
+	spans, err := obs.ReadSpans(&spanBuf)
+	if err != nil {
+		t.Fatalf("ReadSpans: %v", err)
+	}
+	tr, err := trace.Load(bytes.NewReader(logged))
+	if err != nil {
+		t.Fatalf("load event log: %v", err)
+	}
+	costs := eng.Costs()
+	if deletes := s.Counters().DeletesApplied; uint64(len(spans)) != deletes || len(costs) != len(spans) || deletes == 0 {
+		t.Fatalf("%d spans, %d ledger entries, %d deletions applied; want all equal and non-zero", len(spans), len(costs), deletes)
+	}
+	for i, sp := range spans {
+		if sp.Seq != i || sp.Event < 0 || sp.Event >= len(tr.Events) {
+			t.Fatalf("span %d: seq %d, event index %d of %d logged events", i, sp.Seq, sp.Event, len(tr.Events))
+		}
+		if ev := tr.Events[sp.Event]; ev.Kind != "delete" || ev.Node != sp.Node {
+			t.Fatalf("span %d says delete %d, log line %d is %s %d", i, sp.Node, sp.Event, ev.Kind, ev.Node)
+		}
+		if c := costs[i]; sp.Node != c.Node || sp.Rounds != c.Rounds || sp.Messages != c.Messages {
+			t.Fatalf("span %d (node %d, %d rounds, %d messages) disagrees with ledger entry (node %d, %d rounds, %d messages)",
+				i, sp.Node, sp.Rounds, sp.Messages, c.Node, c.Rounds, c.Messages)
+		}
+		// Lemma 5: a repair costs at least its black degree in messages.
+		if sp.Messages < sp.BlackDegree || sp.Rounds < 1 {
+			t.Fatalf("span %d: %d messages for black degree %d, %d rounds", i, sp.Messages, sp.BlackDegree, sp.Rounds)
+		}
 	}
 }
 
@@ -550,9 +591,9 @@ func TestConcurrentClientsParallel(t *testing.T) {
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatalf("CheckInvariants after parallel load: %v", err)
 	}
-	replayed, err := ReplayLog(&logBuf, st.Kappa(), 11)
+	replayed, err := replayLog(&logBuf, st.Kappa(), 11)
 	if err != nil {
-		t.Fatalf("ReplayLog: %v", err)
+		t.Fatalf("replayLog: %v", err)
 	}
 	if !replayed.Equal(st.Graph()) {
 		t.Fatalf("serial replay diverged from parallel-applied state: replay n=%d m=%d, live n=%d m=%d",
