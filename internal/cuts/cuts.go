@@ -133,15 +133,14 @@ func enumerateCuts(g *graph.Graph, nodes []graph.NodeID, visit func(mask uint32,
 	for i, node := range nodes {
 		idx[node] = i
 	}
-	// Precompute adjacency bitmasks and degrees (ForEachNeighbor: order is
-	// irrelevant for mask building, and it allocates nothing).
+	// Precompute adjacency bitmasks and degrees.
 	adj := make([]uint32, n)
 	deg := make([]int, n)
 	for i, node := range nodes {
 		deg[i] = g.Degree(node)
-		g.ForEachNeighbor(node, func(w graph.NodeID) {
+		for _, w := range g.Neighbors(node) {
 			adj[i] |= 1 << uint(idx[w])
-		})
+		}
 	}
 	// Subsets of {1..n-1}: node 0 always on the complement side.
 	limit := uint32(1) << uint(n-1)
@@ -241,13 +240,13 @@ func SweepCut(g *graph.Graph, rng *rand.Rand) (conductance, expansion float64) {
 		vol += g.Degree(node)
 		// Each neighbor already in S converts a cut edge to internal; each
 		// neighbor outside S adds a cut edge.
-		g.ForEachNeighbor(node, func(w graph.NodeID) {
+		for _, w := range g.Neighbors(node) {
 			if inS[idx[w]] {
 				cut--
 			} else {
 				cut++
 			}
-		})
+		}
 		denom := vol
 		if other := totalVol - vol; other < denom {
 			denom = other

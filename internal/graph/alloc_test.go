@@ -3,9 +3,9 @@ package graph
 import "testing"
 
 // The allocation guarantees below are part of the package API (see the
-// package comment and README "Performance"): hot-path accessors must stay
-// allocation-free and the cached views must be free in steady state, so the
-// perf wins of the caching layer cannot silently rot.
+// package comment and README "Performance"): accessors that read stored
+// state — Neighbors included, mutation or no mutation — never allocate, and
+// the two derived views (Nodes, Edges) are free in steady state.
 
 func allocGraph(tb testing.TB) *Graph {
 	tb.Helper()
@@ -42,8 +42,17 @@ func TestZeroAllocAccessors(t *testing.T) {
 		}
 	})
 	fn := func(w NodeID) { sink += int(w) }
-	assertZeroAllocs(t, "ForEachNeighbor", func() { g.ForEachNeighbor(5, fn) })
 	assertZeroAllocs(t, "ForEachNode", func() { g.ForEachNode(fn) })
+	// Neighbors is the stored slice, so there is no cold state: toggling an
+	// edge elsewhere (within capacity after the first round) and reading
+	// right after costs nothing.
+	g.EnsureEdge(0, 32)
+	assertZeroAllocs(t, "Neighbors right after a mutation", func() {
+		if !g.EnsureEdge(0, 32) {
+			_ = g.RemoveEdge(0, 32) // present: EnsureEdge just said so
+		}
+		sink += len(g.Neighbors(5))
+	})
 	_ = sink
 }
 
@@ -52,27 +61,8 @@ func TestZeroAllocCachedViewsSteadyState(t *testing.T) {
 	// Warm the caches once; steady-state reads must then be free.
 	g.Nodes()
 	g.Edges()
-	g.Neighbors(5)
 	var n int
 	assertZeroAllocs(t, "Nodes (cached)", func() { n += len(g.Nodes()) })
 	assertZeroAllocs(t, "Edges (cached)", func() { n += len(g.Edges()) })
-	assertZeroAllocs(t, "Neighbors (cached)", func() { n += len(g.Neighbors(5)) })
-	_ = n
-}
-
-func TestZeroAllocAppendWithCapacity(t *testing.T) {
-	g := allocGraph(t)
-	nodeBuf := make([]NodeID, 0, g.NumNodes())
-	nbrBuf := make([]NodeID, 0, g.MaxDegree())
-	var n int
-	assertZeroAllocs(t, "AppendNodes", func() { n += len(g.AppendNodes(nodeBuf[:0])) })
-	assertZeroAllocs(t, "AppendNeighbors", func() { n += len(g.AppendNeighbors(nbrBuf[:0], 5)) })
-
-	// The Append APIs must stay allocation-free even when the caches are
-	// cold (that is their whole point on mutation-heavy paths).
-	g.EnsureEdge(0, 32) // invalidate
-	assertZeroAllocs(t, "AppendNodes (cold cache)", func() {
-		n += len(g.AppendNodes(nodeBuf[:0]))
-	})
 	_ = n
 }

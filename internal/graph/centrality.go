@@ -39,7 +39,7 @@ func (g *Graph) EdgeBetweenness() map[Edge]float64 {
 			v := queue[0]
 			queue = queue[1:]
 			stack = append(stack, v)
-			for w := range g.adj[v] {
+			for _, w := range g.adj[v] {
 				dw, seen := dist[w]
 				if !seen {
 					dist[w] = dist[v] + 1

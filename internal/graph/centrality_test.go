@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -164,6 +167,49 @@ func TestArticulationRemovalDisconnects(t *testing.T) {
 		disconnected := len(h.Components()) > 1
 		if cutSet[n] != disconnected {
 			t.Fatalf("node %d: cut=%v but removal disconnects=%v", n, cutSet[n], disconnected)
+		}
+	}
+}
+
+// TestTraversalBitReproducible pins the determinism the stored sorted
+// slices give for free: traversals visit neighbors in ascending order, so
+// Brandes' float accumulation order — and with it every bit of every
+// betweenness value — depends on the graph alone, not on the run or on the
+// order the edges were inserted in.
+func TestTraversalBitReproducible(t *testing.T) {
+	edges := slices.Clone(allocGraph(t).Edges()) // 64 nodes, ring plus chords
+	build := func(seed int64) *Graph {
+		rand.New(rand.NewSource(seed)).Shuffle(len(edges), func(i, j int) {
+			edges[i], edges[j] = edges[j], edges[i]
+		})
+		g := New()
+		for _, e := range edges {
+			g.EnsureEdge(e.V, e.U)
+		}
+		// Break the symmetry so shortest-path counts are not all dyadic.
+		for _, n := range []NodeID{3, 17, 40} {
+			if _, err := g.RemoveNode(n); err != nil {
+				t.Fatalf("RemoveNode(%d): %v", n, err)
+			}
+		}
+		return g
+	}
+	ref := build(0)
+	wantBC, wantBFS := ref.EdgeBetweenness(), ref.BFSFrom(0)
+	for run := 1; run <= 20; run++ {
+		g := build(int64(run))
+		if !maps.Equal(g.BFSFrom(0), wantBFS) {
+			t.Fatalf("run %d: BFSFrom differs", run)
+		}
+		bc := g.EdgeBetweenness()
+		if len(bc) != len(wantBC) {
+			t.Fatalf("run %d: %d betweenness entries, want %d", run, len(bc), len(wantBC))
+		}
+		for e, v := range bc {
+			if math.Float64bits(v) != math.Float64bits(wantBC[e]) {
+				t.Fatalf("run %d: betweenness%v = %x, want %x (not bit-identical)",
+					run, e, math.Float64bits(v), math.Float64bits(wantBC[e]))
+			}
 		}
 	}
 }

@@ -61,50 +61,40 @@ var (
 	ErrDisconnected = errors.New("graph: graph is not connected")
 )
 
-// nbrView is one node's cached sorted neighbor slice, valid while its gen
-// matches the graph's mutation counter.
-type nbrView struct {
-	gen uint64
-	ids []NodeID
-}
-
-// Graph is a dynamic undirected simple graph.
+// Graph is a dynamic undirected simple graph. Each node's neighbors are
+// stored as one ascending slice — the order every caller iterates in — so
+// Neighbors serves the stored slice and nothing per node is derived on read.
 //
 // The zero value is not usable; call New.
 type Graph struct {
-	adj   map[NodeID]map[NodeID]struct{}
+	adj   map[NodeID][]NodeID // ascending; non-nil for every present node
 	edges int
 
-	// gen counts mutations. Cached views record the gen they were built at
-	// and are served only while it still matches. It starts at 1 so the
-	// zero-valued cache gens are never mistaken for fresh.
+	// gen counts mutations. The Nodes and Edges views record the gen they
+	// were built at and are served only while it still matches. It starts at
+	// 1 so the zero-valued view gens are never mistaken for fresh.
 	gen      uint64
 	nodesGen uint64
 	nodes    []NodeID
 	edgesGen uint64
 	edgeList []Edge
-	nbrs     map[NodeID]nbrView
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{adj: make(map[NodeID]map[NodeID]struct{}), gen: 1}
+	return &Graph{adj: make(map[NodeID][]NodeID), gen: 1}
 }
 
-// Clone returns a deep copy of g. Caches are not copied; the clone
-// materializes its own views on demand.
+// Clone returns a deep copy of g. The Nodes and Edges views are not copied;
+// the clone materializes its own on demand.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		adj:   make(map[NodeID]map[NodeID]struct{}, len(g.adj)),
+		adj:   make(map[NodeID][]NodeID, len(g.adj)),
 		edges: g.edges,
 		gen:   1,
 	}
 	for n, nbrs := range g.adj {
-		m := make(map[NodeID]struct{}, len(nbrs))
-		for w := range nbrs {
-			m[w] = struct{}{}
-		}
-		c.adj[n] = m
+		c.adj[n] = slices.Clone(nbrs)
 	}
 	return c
 }
@@ -129,11 +119,7 @@ func (g *Graph) HasNode(n NodeID) bool {
 
 // HasEdge reports whether the edge {u, v} is present.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	nbrs, ok := g.adj[u]
-	if !ok {
-		return false
-	}
-	_, ok = nbrs[v]
+	_, ok := slices.BinarySearch(g.adj[u], v)
 	return ok
 }
 
@@ -142,11 +128,9 @@ func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
 
 // AddNode inserts an isolated node. It returns ErrNodeExists if n is present.
 func (g *Graph) AddNode(n NodeID) error {
-	if g.HasNode(n) {
+	if !g.EnsureNode(n) {
 		return fmt.Errorf("add node %d: %w", n, ErrNodeExists)
 	}
-	g.adj[n] = make(map[NodeID]struct{})
-	g.gen++
 	return nil
 }
 
@@ -155,39 +139,28 @@ func (g *Graph) EnsureNode(n NodeID) bool {
 	if g.HasNode(n) {
 		return false
 	}
-	g.adj[n] = make(map[NodeID]struct{})
+	g.adj[n] = []NodeID{}
 	g.gen++
 	return true
 }
 
 // RemoveNode deletes n and all incident edges, returning the neighbors it had
-// (sorted). It returns ErrNodeMissing if n is absent. When n's neighbor view
-// is cached the cached slice is returned instead of re-sorting; like every
-// other view it is read-only — it may alias a slice an earlier Neighbors
-// call handed out, so treat it as a frozen snapshot and copy to mutate.
+// (ascending). It returns ErrNodeMissing if n is absent. The returned slice
+// is the one the graph stored for n, handed over: the caller owns it and the
+// graph never writes it again, whatever happens to n's former neighbors or
+// to a later node with the same ID.
 func (g *Graph) RemoveNode(n NodeID) ([]NodeID, error) {
-	set, ok := g.adj[n]
+	nbrs, ok := g.adj[n]
 	if !ok {
 		return nil, fmt.Errorf("remove node %d: %w", n, ErrNodeMissing)
 	}
-	var out []NodeID
-	if v, cached := g.nbrs[n]; cached && v.gen == g.gen {
-		out = v.ids
-	} else {
-		out = make([]NodeID, 0, len(set))
-		for w := range set {
-			out = append(out, w)
-		}
-		slices.Sort(out)
-	}
-	for _, w := range out {
-		delete(g.adj[w], n)
-		g.edges--
+	for _, w := range nbrs {
+		g.unlink(w, n)
 	}
 	delete(g.adj, n)
-	delete(g.nbrs, n)
+	g.edges -= len(nbrs)
 	g.gen++
-	return out, nil
+	return nbrs, nil
 }
 
 // AddEdge inserts the edge {u, v}. Both endpoints must exist; self loops and
@@ -202,13 +175,9 @@ func (g *Graph) AddEdge(u, v NodeID) error {
 	if !g.HasNode(v) {
 		return fmt.Errorf("add edge (%d,%d): endpoint %d: %w", u, v, v, ErrNodeMissing)
 	}
-	if g.HasEdge(u, v) {
+	if !g.link(u, v) {
 		return fmt.Errorf("add edge (%d,%d): %w", u, v, ErrEdgeExists)
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
-	g.edges++
-	g.gen++
 	return nil
 }
 
@@ -220,14 +189,7 @@ func (g *Graph) EnsureEdge(u, v NodeID) bool {
 	}
 	g.EnsureNode(u)
 	g.EnsureNode(v)
-	if g.HasEdge(u, v) {
-		return false
-	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
-	g.edges++
-	g.gen++
-	return true
+	return g.link(u, v)
 }
 
 // RemoveEdge deletes the edge {u, v}. It returns ErrEdgeMissing if absent.
@@ -235,11 +197,34 @@ func (g *Graph) RemoveEdge(u, v NodeID) error {
 	if !g.HasEdge(u, v) {
 		return fmt.Errorf("remove edge (%d,%d): %w", u, v, ErrEdgeMissing)
 	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
+	g.unlink(u, v)
+	g.unlink(v, u)
 	g.edges--
 	g.gen++
 	return nil
+}
+
+// link inserts the edge between two distinct present nodes, keeping both
+// neighbor slices ascending, and reports whether it was absent.
+func (g *Graph) link(u, v NodeID) bool {
+	nu, nv := g.adj[u], g.adj[v]
+	i, found := slices.BinarySearch(nu, v)
+	if found {
+		return false
+	}
+	j, _ := slices.BinarySearch(nv, u)
+	g.adj[u] = slices.Insert(nu, i, v)
+	g.adj[v] = slices.Insert(nv, j, u)
+	g.edges++
+	g.gen++
+	return true
+}
+
+// unlink removes w, which must be there, from n's neighbor slice in place.
+func (g *Graph) unlink(n, w NodeID) {
+	nbrs := g.adj[n]
+	i, _ := slices.BinarySearch(nbrs, w)
+	g.adj[n] = slices.Delete(nbrs, i, i+1)
 }
 
 // Nodes returns all node IDs in ascending order. The slice is a cached
@@ -257,22 +242,6 @@ func (g *Graph) Nodes() []NodeID {
 	return g.nodes
 }
 
-// AppendNodes appends all node IDs in ascending order to buf and returns the
-// extended slice. It allocates nothing when buf has sufficient capacity,
-// regardless of cache state — the zero-allocation alternative to Nodes for
-// callers that own a reusable buffer.
-func (g *Graph) AppendNodes(buf []NodeID) []NodeID {
-	if g.nodesGen == g.gen {
-		return append(buf, g.nodes...)
-	}
-	start := len(buf)
-	for n := range g.adj {
-		buf = append(buf, n)
-	}
-	slices.Sort(buf[start:])
-	return buf
-}
-
 // ForEachNode calls fn for every node in unspecified order, with zero
 // allocations.
 func (g *Graph) ForEachNode(fn func(NodeID)) {
@@ -282,54 +251,10 @@ func (g *Graph) ForEachNode(fn func(NodeID)) {
 }
 
 // Neighbors returns the neighbors of n in ascending order, or nil if n is
-// absent. The slice is a cached read-only view: it must not be modified, and
-// it stops tracking the graph at the next mutation (see the package comment).
-func (g *Graph) Neighbors(n NodeID) []NodeID {
-	set, ok := g.adj[n]
-	if !ok {
-		return nil
-	}
-	if v, cached := g.nbrs[n]; cached && v.gen == g.gen {
-		return v.ids
-	}
-	ids := make([]NodeID, 0, len(set))
-	for w := range set {
-		ids = append(ids, w)
-	}
-	slices.Sort(ids)
-	if g.nbrs == nil {
-		g.nbrs = make(map[NodeID]nbrView, len(g.adj))
-	}
-	g.nbrs[n] = nbrView{gen: g.gen, ids: ids}
-	return ids
-}
-
-// AppendNeighbors appends the neighbors of n in ascending order to buf and
-// returns the extended slice (unchanged if n is absent). It allocates
-// nothing when buf has sufficient capacity, regardless of cache state.
-func (g *Graph) AppendNeighbors(buf []NodeID, n NodeID) []NodeID {
-	set, ok := g.adj[n]
-	if !ok {
-		return buf
-	}
-	if v, cached := g.nbrs[n]; cached && v.gen == g.gen {
-		return append(buf, v.ids...)
-	}
-	start := len(buf)
-	for w := range set {
-		buf = append(buf, w)
-	}
-	slices.Sort(buf[start:])
-	return buf
-}
-
-// ForEachNeighbor calls fn for every neighbor of n in unspecified order.
-// It avoids the allocation of Neighbors for hot paths.
-func (g *Graph) ForEachNeighbor(n NodeID, fn func(NodeID)) {
-	for w := range g.adj[n] {
-		fn(w)
-	}
-}
+// absent. The slice is the graph's own storage: it must not be modified, and
+// it is valid only until the graph's next mutation, which may rewrite it in
+// place (see the package comment).
+func (g *Graph) Neighbors(n NodeID) []NodeID { return g.adj[n] }
 
 // Edges returns every edge once, in canonical sorted order. The slice is a
 // cached read-only view: it must not be modified, and it stops tracking the
@@ -337,14 +262,13 @@ func (g *Graph) ForEachNeighbor(n NodeID, fn func(NodeID)) {
 func (g *Graph) Edges() []Edge {
 	if g.edgesGen != g.gen {
 		out := make([]Edge, 0, g.edges)
-		for u, nbrs := range g.adj {
-			for v := range nbrs {
+		for _, u := range g.Nodes() {
+			for _, v := range g.adj[u] {
 				if u < v {
 					out = append(out, Edge{U: u, V: v})
 				}
 			}
 		}
-		slices.SortFunc(out, CompareEdges)
 		g.edgeList, g.edgesGen = out, g.gen
 	}
 	return g.edgeList
@@ -397,7 +321,7 @@ func (g *Graph) InducedSubgraph(keep []NodeID) *Graph {
 		}
 	}
 	for n := range set {
-		for w := range g.adj[n] {
+		for _, w := range g.adj[n] {
 			if _, ok := set[w]; ok && n < w {
 				sub.EnsureEdge(n, w)
 			}
@@ -411,7 +335,7 @@ func (g *Graph) InducedSubgraph(keep []NodeID) *Graph {
 func (g *Graph) CutSize(s map[NodeID]struct{}) int {
 	cut := 0
 	for n := range s {
-		for w := range g.adj[n] {
+		for _, w := range g.adj[n] {
 			if _, in := s[w]; !in {
 				cut++
 			}
@@ -426,14 +350,8 @@ func (g *Graph) Equal(h *Graph) bool {
 		return false
 	}
 	for n, nbrs := range g.adj {
-		hn, ok := h.adj[n]
-		if !ok || len(hn) != len(nbrs) {
+		if hn, ok := h.adj[n]; !ok || !slices.Equal(nbrs, hn) {
 			return false
-		}
-		for w := range nbrs {
-			if _, ok := hn[w]; !ok {
-				return false
-			}
 		}
 	}
 	return true

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -62,6 +63,11 @@ func TestAddRemoveNode(t *testing.T) {
 	mustAddNodes(t, g, 1, 2, 3)
 	if g.NumNodes() != 3 {
 		t.Fatalf("NumNodes = %d, want 3", g.NumNodes())
+	}
+	seen := map[NodeID]bool{}
+	g.ForEachNode(func(n NodeID) { seen[n] = true })
+	if len(seen) != 3 || !seen[1] || !seen[2] || !seen[3] {
+		t.Fatalf("ForEachNode visited %v, want {1,2,3}", seen)
 	}
 	if err := g.AddNode(2); !errors.Is(err, ErrNodeExists) {
 		t.Fatalf("duplicate AddNode error = %v, want ErrNodeExists", err)
@@ -144,18 +150,14 @@ func TestCachedViewsInvalidatedByMutation(t *testing.T) {
 	mustAddEdges(t, g, [2]NodeID{1, 2})
 
 	nodes := g.Nodes()
-	nbrs := g.Neighbors(1)
 	edges := g.Edges()
 
-	// A retained view is a frozen snapshot: later mutations must not write
-	// into it (rebuilds allocate fresh arrays).
+	// A retained Nodes or Edges view is a frozen snapshot: later mutations
+	// must not write into it (rebuilds allocate fresh arrays).
 	mustAddNodes(t, g, 4)
 	mustAddEdges(t, g, [2]NodeID{1, 4})
 	if len(nodes) != 3 || nodes[2] != 3 {
 		t.Fatalf("retained Nodes view changed: %v", nodes)
-	}
-	if len(nbrs) != 1 || nbrs[0] != 2 {
-		t.Fatalf("retained Neighbors view changed: %v", nbrs)
 	}
 	if len(edges) != 1 {
 		t.Fatalf("retained Edges view changed: %v", edges)
@@ -165,7 +167,7 @@ func TestCachedViewsInvalidatedByMutation(t *testing.T) {
 	if got := g.Nodes(); len(got) != 4 || got[3] != 4 {
 		t.Fatalf("Nodes after mutation = %v", got)
 	}
-	if got := g.Neighbors(1); len(got) != 2 || got[0] != 2 || got[1] != 4 {
+	if got := g.Neighbors(1); !slices.Equal(got, []NodeID{2, 4}) {
 		t.Fatalf("Neighbors after mutation = %v", got)
 	}
 	if got := g.Edges(); len(got) != 2 {
@@ -179,47 +181,44 @@ func TestCachedViewsInvalidatedByMutation(t *testing.T) {
 	}
 }
 
-func TestAppendIterationAPIs(t *testing.T) {
+// TestRemoveNodeHandsOverNeighbors pins the other half of the Neighbors
+// lifetime rule: the slice RemoveNode returns is the stored one, and from
+// then on it belongs to the caller — nothing the graph does afterwards to
+// the former neighbors, or to a new node with the same ID, writes into it.
+func TestRemoveNodeHandsOverNeighbors(t *testing.T) {
 	g := New()
-	mustAddNodes(t, g, 3, 1, 2)
-	mustAddEdges(t, g, [2]NodeID{1, 2}, [2]NodeID{1, 3})
-
-	buf := g.AppendNodes(nil)
-	if len(buf) != 3 || buf[0] != 1 || buf[2] != 3 {
-		t.Fatalf("AppendNodes = %v", buf)
-	}
-	buf = g.AppendNodes(buf[:0]) // reuse must re-fill, not duplicate
-	if len(buf) != 3 {
-		t.Fatalf("AppendNodes reuse = %v", buf)
-	}
-	nb := g.AppendNeighbors([]NodeID{99}, 1)
-	if len(nb) != 3 || nb[0] != 99 || nb[1] != 2 || nb[2] != 3 {
-		t.Fatalf("AppendNeighbors = %v", nb)
-	}
-	if got := g.AppendNeighbors(nil, 42); got != nil {
-		t.Fatalf("AppendNeighbors of absent node = %v", got)
-	}
-	seen := map[NodeID]bool{}
-	g.ForEachNode(func(n NodeID) { seen[n] = true })
-	if len(seen) != 3 {
-		t.Fatalf("ForEachNode visited %v", seen)
-	}
-}
-
-func TestRemoveNodeReusesCachedNeighbors(t *testing.T) {
-	g := New()
-	mustAddNodes(t, g, 1, 2, 3)
-	mustAddEdges(t, g, [2]NodeID{2, 1}, [2]NodeID{2, 3})
-	cached := g.Neighbors(2) // warm the cache
+	mustAddNodes(t, g, 1, 2, 3, 4, 5)
+	mustAddEdges(t, g, [2]NodeID{2, 1}, [2]NodeID{2, 3}, [2]NodeID{2, 5}, [2]NodeID{3, 4})
+	stored := g.Neighbors(2)
 	nbrs, err := g.RemoveNode(2)
 	if err != nil {
 		t.Fatalf("RemoveNode: %v", err)
 	}
-	if len(nbrs) != 2 || nbrs[0] != 1 || nbrs[1] != 3 {
-		t.Fatalf("RemoveNode neighbors = %v, want [1 3]", nbrs)
+	want := []NodeID{1, 3, 5}
+	if !slices.Equal(nbrs, want) {
+		t.Fatalf("RemoveNode neighbors = %v, want %v", nbrs, want)
 	}
-	if &cached[0] != &nbrs[0] {
-		t.Fatal("RemoveNode did not hand over the cached sorted slice")
+	if &stored[0] != &nbrs[0] {
+		t.Fatal("RemoveNode did not hand over the stored slice")
+	}
+
+	mustAddEdges(t, g, [2]NodeID{1, 3}, [2]NodeID{1, 5}) // repair among the former neighbors
+	if err := g.RemoveEdge(3, 4); err != nil {
+		t.Fatalf("RemoveEdge: %v", err)
+	}
+	if _, err := g.RemoveNode(3); err != nil {
+		t.Fatalf("RemoveNode(3): %v", err)
+	}
+	mustAddNodes(t, g, 2) // the ID comes back
+	if got := g.Neighbors(2); len(got) != 0 {
+		t.Fatalf("re-added node starts with neighbors %v", got)
+	}
+	mustAddEdges(t, g, [2]NodeID{2, 4}, [2]NodeID{2, 1})
+	if !slices.Equal(nbrs, want) {
+		t.Fatalf("RemoveNode return changed to %v after later mutations, want %v", nbrs, want)
+	}
+	if got := g.Neighbors(2); !slices.Equal(got, []NodeID{1, 4}) {
+		t.Fatalf("Neighbors of re-added node = %v, want [1 4]", got)
 	}
 }
 
@@ -311,14 +310,5 @@ func TestEqual(t *testing.T) {
 	mustAddEdges(t, c, [2]NodeID{0, 1}, [2]NodeID{0, 2})
 	if a.Equal(c) {
 		t.Fatal("different graphs reported Equal")
-	}
-}
-
-func TestForEachNeighbor(t *testing.T) {
-	g := pathGraph(t, 3)
-	seen := map[NodeID]bool{}
-	g.ForEachNeighbor(1, func(w NodeID) { seen[w] = true })
-	if !seen[0] || !seen[2] || len(seen) != 2 {
-		t.Fatalf("ForEachNeighbor visited %v, want {0,2}", seen)
 	}
 }

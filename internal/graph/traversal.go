@@ -20,7 +20,7 @@ func (g *Graph) BFSFrom(src NodeID) map[NodeID]int {
 		n := queue[0]
 		queue = queue[1:]
 		d := dist[n]
-		for w := range g.adj[n] {
+		for _, w := range g.adj[n] {
 			if _, seen := dist[w]; !seen {
 				dist[w] = d + 1
 				queue = append(queue, w)
@@ -53,7 +53,7 @@ func (g *Graph) Distance(u, v NodeID) int {
 		next := make([]NodeID, 0, len(frontierU)*2)
 		for _, n := range frontierU {
 			d := distU[n]
-			for w := range g.adj[n] {
+			for _, w := range g.adj[n] {
 				if dv, ok := distV[w]; ok {
 					return d + 1 + dv
 				}

@@ -24,11 +24,9 @@ type CSR struct {
 // Row returns row i's neighbor indices.
 func (a *CSR) Row(i int) []int32 { return a.Cols[a.RowPtr[i]:a.RowPtr[i+1]] }
 
-// NewCSR snapshots g's adjacency in node-ascending order. Rows keep
-// neighbors sorted so float accumulation order — and therefore every
-// eigenvalue bit — is reproducible run to run. Neighbors are gathered with
-// AppendNeighbors into one reusable buffer rather than Neighbors, so a
-// one-shot measurement does not leave per-node cache slices on the graph.
+// NewCSR snapshots g's adjacency in node-ascending order. Rows keep the
+// graph's ascending neighbor order so float accumulation order — and
+// therefore every eigenvalue bit — is reproducible run to run.
 func NewCSR(g *graph.Graph) *CSR {
 	nodes := g.Nodes()
 	n := len(nodes)
@@ -42,14 +40,13 @@ func NewCSR(g *graph.Graph) *CSR {
 		Cols:   make([]int32, 0, 2*g.NumEdges()),
 		Deg:    make([]float64, n),
 	}
-	buf := make([]graph.NodeID, 0, g.MaxDegree())
 	for i, node := range nodes {
-		buf = g.AppendNeighbors(buf[:0], node)
-		for _, w := range buf {
+		nbrs := g.Neighbors(node)
+		for _, w := range nbrs {
 			a.Cols = append(a.Cols, idx[w])
 		}
 		a.RowPtr[i+1] = int32(len(a.Cols))
-		a.Deg[i] = float64(len(buf))
+		a.Deg[i] = float64(len(nbrs))
 	}
 	return a
 }
