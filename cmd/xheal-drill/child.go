@@ -25,8 +25,8 @@ type child struct {
 	base   string // http://host:port
 	engine string // -engine as the daemon reports it
 	kappa  int
-	// The "recovered:" line, and the checkpoint spacing of the "data dir:"
-	// line.
+	// The "recovered:" line, and the spacing of checkpoint opportunities
+	// from the "data dir:" line.
 	source   string
 	events   uint64
 	replayed int
@@ -36,7 +36,7 @@ type child struct {
 
 var (
 	bannerRE    = regexp.MustCompile(`^xheal-serve: engine=(\S+) .* kappa=(\d+) `)
-	dataDirRE   = regexp.MustCompile(`\(checkpoint every (\d+) ticks, archive=true\)$`)
+	dataDirRE   = regexp.MustCompile(`\(checkpoint opportunity every (\d+) ticks, archive=true\)$`)
 	listeningRE = regexp.MustCompile(`^listening on (http://\S+)`)
 )
 

@@ -120,9 +120,11 @@ type drill struct {
 	// in the log after a kill. alive is the node set they add up to.
 	settled uint64
 	alive   map[graph.NodeID]struct{}
-	// lean is how many checkpoint spacings the next recovery tail may span:
-	// one, plus one for every consecutive incarnation killed before a
-	// checkpoint of its own was seen (it hands its tail to the next).
+	// lean is how many spacings of checkpoint opportunities the next
+	// recovery tail may run past the checkpoint rule's threshold: one, plus
+	// one for every consecutive incarnation killed before it was seen to
+	// reach an opportunity (it hands its tail to the next without having
+	// had the chance to image it).
 	lean int
 	// lastPost is how long the previous wave took from POST to ack; a kill
 	// is aimed inside that span.
@@ -323,7 +325,8 @@ func (d *drill) killUnder(c *child, wave []adversary.Event) ([]adversary.Event, 
 	// The poller is stopped: its last reading closes this incarnation's books.
 	if last := d.gates.last; last != nil {
 		d.gates.settle(*last)
-		if last.Counters.Checkpoints > 0 {
+		// Ticks count on across restarts, so opportunities fall on one grid.
+		if du := last.Durability; du != nil && last.Counters.Ticks/uint64(c.spacing) > du.ResumeTick/uint64(c.spacing) {
 			d.lean = 0
 		}
 	}
@@ -402,10 +405,15 @@ func reconcile(wave []adversary.Event, acked int, full *trace.Trace, settled uin
 
 // restart brings up the next incarnation on the killed one's directory and
 // holds its "recovered:" line to the log: exactly the durable events, and a
-// replayed tail within the checkpoint spacing. One tick holds at most one
-// wave (the drill has no more in flight), a checkpoint lands every spacing
-// ticks, and an incarnation killed before its first checkpoint hands its tail
-// to the next.
+// replayed tail within what the checkpoint rule allows. The daemon images
+// its state at the first opportunity (every spacing ticks) at which the
+// change since the last image has reached the structure's size — the
+// checkpoint_due_at_changes the poller read off /v1/health — and every event
+// is at least one change, so at an opportunity that took no image the tail
+// is shorter than that; one tick holds at most one wave (the drill has no
+// more in flight), so a spacing adds at most spacing × wave events, and an
+// incarnation killed before its first opportunity hands its tail to the
+// next.
 func (d *drill) restart() (*child, func(), error) {
 	c, stopPoll, err := d.start()
 	if err != nil {
@@ -413,12 +421,12 @@ func (d *drill) restart() (*child, func(), error) {
 	}
 	r := &d.rep.Restarts[len(d.rep.Restarts)-1]
 	r.Recovered, r.Source, r.Replayed, r.TornTail = c.events, c.source, c.replayed, c.tornTail
-	r.TailBound = d.lean * c.spacing * d.st.Params().Wave
+	r.TailBound = int(d.gates.dueMax) + d.lean*c.spacing*d.st.Params().Wave
 	switch {
 	case r.Recovered != r.Durable:
 		err = fmt.Errorf("restart %d: daemon recovered %d events, the log holds %d", d.rep.Kills, r.Recovered, r.Durable)
 	case r.Replayed > r.TailBound:
-		err = fmt.Errorf("restart %d: recovery replayed %d tail events, checkpoint spacing bounds it at %d", d.rep.Kills, r.Replayed, r.TailBound)
+		err = fmt.Errorf("restart %d: recovery replayed %d tail events, the checkpoint rule bounds it at %d", d.rep.Kills, r.Replayed, r.TailBound)
 	}
 	if err != nil {
 		stopPoll()
@@ -540,6 +548,8 @@ type gates struct {
 	maxQueue     int
 	audits       uint64
 	maxP99TickMS float64
+	// dueMax is the largest checkpoint_due_at_changes any reading showed.
+	dueMax uint64
 	// last is the current incarnation's newest reading; settle folds it in
 	// when the incarnation ends.
 	last      *server.Health
@@ -558,6 +568,9 @@ func (g *gates) observe(h server.Health) {
 		g.unhealthy = true
 		g.failf("unhealthy mid-run: status=%s connected=%v log_error=%q audit_failures=%d",
 			h.Status, h.Connected, h.LogError, h.Live.AuditFailures)
+	}
+	if du := h.Durability; du != nil && du.CheckpointDueAtChanges > g.dueMax {
+		g.dueMax = du.CheckpointDueAtChanges
 	}
 	if h.QueueDepth > g.maxQueue {
 		g.maxQueue = h.QueueDepth

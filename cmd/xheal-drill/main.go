@@ -27,9 +27,10 @@
 // under it every D: the drill then reads the log directory — nothing else
 // has it open — counts whatever became durable past the last acknowledgement
 // as applied, restarts the daemon, demands that its "recovered: events=" line
-// equals the log length and that the replayed tail is within the checkpoint
-// spacing the daemon printed, and resends the rest of the wave. The last
-// incarnation is stopped with SIGTERM.
+// equals the log length and that the replayed tail is within what the
+// daemon's checkpoint rule allows (the checkpoint_due_at_changes it reported
+// plus the opportunity spacing it printed), and resends the rest of the wave.
+// The last incarnation is stopped with SIGTERM.
 //
 // The run fails (exit 1) on: a refused or rejected event; an acknowledged
 // event missing from the log or from the final graph; a recovered count that

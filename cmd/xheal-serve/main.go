@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.spanLog, "spanlog", "", "write one JSONL span per repaired wound to this file (enables per-wound tracing)")
 	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux")
 	fs.StringVar(&o.dataDir, "data-dir", "", "durable mode: recover state from and persist checkpoints + segmented event log under this directory")
-	fs.IntVar(&o.ckptEvery, "checkpoint-every", 32, "durable mode: applied ticks between checkpoints")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 32, "durable mode: ticks between checkpoint opportunities (an image is written at one only once the graph has changed by its own size since the last)")
 	fs.BoolVar(&o.archiveLog, "archive-log", false, "durable mode: move compacted log segments to <data-dir>/log/archive instead of deleting (keeps from-genesis history)")
 	fs.BoolVar(&o.verifyRecovery, "verify-recovery", false, "durable mode: at startup, assert the recovered state is byte-identical to a from-genesis replay of the archived log")
 	fs.IntVar(&o.refreshEvery, "refresh-every", 32, "applied ticks between background refreshes of cached connectivity/lambda2/stretch")
@@ -184,8 +184,8 @@ func buildDaemon(o options) (*daemon, error) {
 	var logFile *os.File
 	if o.dataDir != "" {
 		// Durable mode: recover whatever a previous incarnation left behind
-		// (newest checkpoint + log-tail replay), then serve with periodic
-		// checkpoints over a fresh checkpoint-anchored log segment.
+		// (newest checkpoint + log-tail replay), then serve with checkpoints
+		// over a fresh checkpoint-anchored log segment.
 		if o.eventLog != "" {
 			return nil, fmt.Errorf("-event-log and -data-dir are mutually exclusive (the data dir owns a segmented log)")
 		}
@@ -223,7 +223,7 @@ func buildDaemon(o options) (*daemon, error) {
 		cfg.EngineName = engName
 		cfg.Seed = o.seed
 		cfg.GenesisDigest = server.GenesisDigest(g0)
-		cfg.Resume = server.Resume{Tick: rec.Tick, Events: rec.Events}
+		cfg.Resume = server.Resume{Tick: rec.Tick, Events: rec.Events, Changes: rec.Changes}
 	} else {
 		eng, err = server.NewEngine(engName, o.kappa, o.seed, g0)
 		if err != nil {
@@ -309,7 +309,7 @@ func serve(o options, stdout, stderr io.Writer) int {
 		if d.verified {
 			fmt.Fprintln(stdout, "recovery identity verified against from-genesis replay")
 		}
-		fmt.Fprintf(stdout, "data dir: %s (checkpoint every %d ticks, archive=%v)\n",
+		fmt.Fprintf(stdout, "data dir: %s (checkpoint opportunity every %d ticks, archive=%v)\n",
 			o.dataDir, o.ckptEvery, o.archiveLog)
 	}
 	fmt.Fprintf(stdout, "listening on http://%s (POST /v1/events, GET /v1/health, GET /metrics)\n", ln.Addr())

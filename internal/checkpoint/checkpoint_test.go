@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -17,7 +16,7 @@ func mkCheckpoint(tick, events uint64, payload string) *Checkpoint {
 		Engine:  "core",
 		Kappa:   4,
 		Seed:    7,
-		State:   json.RawMessage(payload),
+		State:   []byte(payload),
 	}
 	c.Seal()
 	return c
@@ -28,7 +27,7 @@ func TestVerifyCatchesTampering(t *testing.T) {
 	if err := c.Verify(); err != nil {
 		t.Fatalf("fresh checkpoint: %v", err)
 	}
-	c.State = json.RawMessage(`{"x":2}`)
+	c.State = []byte(`{"x":2}`)
 	if err := c.Verify(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("tampered state: %v, want ErrCorrupt", err)
 	}
@@ -242,5 +241,66 @@ func TestFaultStoreShortRead(t *testing.T) {
 	// the fault tears it further; 1 must still load).
 	if _, err := fst.Load(); err != nil && !errors.Is(err, ErrNotFound) {
 		t.Fatalf("load 2: %v", err)
+	}
+}
+
+// A file carries every envelope field, and the state byte for byte.
+func TestFileStoreRoundTripsEveryField(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir(), 2)
+	if err != nil {
+		t.Fatalf("NewFileStore: %v", err)
+	}
+	want := &Checkpoint{
+		Version: Version, Tick: 1 << 40, Events: 1<<41 + 3,
+		Engine: "dist", Kappa: 6, Seed: -7, Genesis: "9a3f",
+		State: []byte{0, 1, 2, 0xff, 0x80, 0},
+	}
+	want.Seal()
+	if err := fs.Save(want); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	got, err := fs.Load()
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if got.Version != want.Version || got.Tick != want.Tick || got.Events != want.Events ||
+		got.Engine != want.Engine || got.Kappa != want.Kappa || got.Seed != want.Seed ||
+		got.Genesis != want.Genesis || got.Checksum != want.Checksum || string(got.State) != string(want.State) {
+		t.Fatalf("loaded %+v, saved %+v", got, want)
+	}
+	info, err := os.Stat(filepath.Join(fs.Dir(), want.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over := info.Size() - int64(len(want.State)); over > 96 {
+		t.Fatalf("the file is %d bytes larger than the state it holds: the header should be small", over)
+	}
+}
+
+// Version-1 files (JSON, .json) are not checkpoints to this store: never
+// loaded — even when they are all there is — and never pruned.
+func TestFileStoreIgnoresV1Files(t *testing.T) {
+	dir := t.TempDir()
+	v1 := filepath.Join(dir, "ckpt-0000000000000009-0000000000000090.json")
+	if err := os.WriteFile(v1, []byte(`{"version":1,"tick":9,"events":90,"state":{},"checksum":""}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := NewFileStore(dir, 2)
+	if err != nil {
+		t.Fatalf("NewFileStore: %v", err)
+	}
+	if _, err := fs.Load(); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("load with only a v1 file: %v, want ErrNotFound", err)
+	}
+	for i := uint64(1); i <= 4; i++ {
+		if err := fs.Save(mkCheckpoint(i, i*10, "state")); err != nil {
+			t.Fatalf("save %d: %v", i, err)
+		}
+	}
+	if got, err := fs.Load(); err != nil || got.Tick != 4 {
+		t.Fatalf("load: %+v, %v; want tick 4 (the v1 file names tick 9)", got, err)
+	}
+	if _, err := os.Stat(v1); err != nil {
+		t.Fatalf("the v1 file was pruned: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -61,21 +60,15 @@ func (f *FaultStore) Save(c *Checkpoint) error {
 	f.saves++
 	switch fault {
 	case FaultTornWrite:
-		data, err := json.Marshal(c)
-		if err != nil {
-			return fmt.Errorf("checkpoint: encode: %w", err)
-		}
-		final := filepath.Join(f.fs.dir, f.fs.nameFor(c))
+		data := append(c.header(), c.State...)
+		final := filepath.Join(f.fs.dir, c.Name())
 		if err := os.WriteFile(final, data[:len(data)/2], 0o644); err != nil {
 			return fmt.Errorf("checkpoint: torn write: %w", err)
 		}
 		return fmt.Errorf("%w: torn write of %s", ErrInjected, filepath.Base(final))
 	case FaultKillAtSync:
-		data, err := json.Marshal(c)
-		if err != nil {
-			return fmt.Errorf("checkpoint: encode: %w", err)
-		}
-		tmp, err := os.CreateTemp(f.fs.dir, ".tmp-ckpt-*")
+		data := append(c.header(), c.State...)
+		tmp, err := os.CreateTemp(f.fs.dir, tmpPrefix+"*")
 		if err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
 		}

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,10 +10,11 @@ import (
 
 // filePrefix and fileSuffix frame checkpoint filenames. The zero-padded
 // tick/event watermarks in between make lexicographic order equal recovery
-// order, so Load can scan newest-first without parsing every file.
+// order, so Load can scan newest-first without parsing every file. The
+// suffix is the format's: version-1 files end in .json and are not listed.
 const (
 	filePrefix = "ckpt-"
-	fileSuffix = ".json"
+	fileSuffix = ".bin"
 	// tmpPrefix names in-flight temp files; a crash between CreateTemp and
 	// rename orphans one, so NewFileStore sweeps leftovers at open.
 	tmpPrefix = ".tmp-ckpt-"
@@ -59,27 +59,25 @@ func NewFileStore(dir string, keep int) (*FileStore, error) {
 // Dir returns the store's directory.
 func (f *FileStore) Dir() string { return f.dir }
 
-func (f *FileStore) nameFor(c *Checkpoint) string { return c.Name() }
-
-// Save writes c durably: temp file in the same directory, fsync, rename to
-// the final name, fsync the directory so the rename itself is durable, then
-// prune old checkpoints beyond the retention count.
+// Save writes c durably: temp file in the same directory (the header, then
+// the state bytes as they are — nothing is re-encoded), fsync, rename to the
+// final name, fsync the directory so the rename itself is durable, then prune
+// old checkpoints beyond the retention count.
 func (f *FileStore) Save(c *Checkpoint) error {
 	if err := c.Verify(); err != nil {
 		return err
 	}
-	data, err := json.Marshal(c)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	final := filepath.Join(f.dir, f.nameFor(c))
+	final := filepath.Join(f.dir, c.Name())
 	tmp, err := os.CreateTemp(f.dir, tmpPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	tmpName := tmp.Name()
 	cleanup := func() { _ = os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.Write(c.header()); err == nil {
+		_, err = tmp.Write(c.State)
+	}
+	if err != nil {
 		tmp.Close()
 		cleanup()
 		return fmt.Errorf("checkpoint: write: %w", err)
@@ -114,14 +112,9 @@ func (f *FileStore) Load() (*Checkpoint, error) {
 		if err != nil {
 			continue
 		}
-		var c Checkpoint
-		if err := json.Unmarshal(data, &c); err != nil {
-			continue
+		if c, err := decodeFile(data); err == nil {
+			return c, nil
 		}
-		if err := c.Verify(); err != nil {
-			continue
-		}
-		return &c, nil
 	}
 	return nil, ErrNotFound
 }

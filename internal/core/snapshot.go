@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +8,7 @@ import (
 
 	"github.com/xheal/xheal/internal/expander"
 	"github.com/xheal/xheal/internal/graph"
+	"github.com/xheal/xheal/internal/wire"
 )
 
 // This file is the durability boundary of the sequential engine: Snapshot
@@ -20,9 +20,18 @@ import (
 // the recorded stream position. Snapshots of a restored state are
 // byte-identical to snapshots of an uncrashed run at the same point, which
 // is how crash-recovery identity is asserted end to end.
+//
+// The wire form (SnapshotState / LoadSnapshot) is binary, version 2, and the
+// only one: a sequence of uvarints in the field order of Snapshot, with
+// ascending ID lists and sorted edge lists delta-coded (internal/wire), so a
+// 10⁵-node state is a few MiB where its JSON predecessor was 23. The first
+// value is the version; a version-1 (JSON) snapshot does not decode. Every
+// length prefix is checked against the bytes that remain before anything is
+// allocated for it (FuzzLoadSnapshot), and the decoded Snapshot is validated
+// by RestoreState exactly as a hand-built one is.
 
 // SnapshotVersion identifies the engine snapshot schema.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // ErrBadSnapshot wraps all engine-snapshot decode/restore failures.
 var ErrBadSnapshot = errors.New("core: malformed snapshot")
@@ -30,8 +39,8 @@ var ErrBadSnapshot = errors.New("core: malformed snapshot")
 // GraphSnapshot is a graph as flat node and edge lists, both in canonical
 // ascending order.
 type GraphSnapshot struct {
-	Nodes []graph.NodeID `json:"nodes"`
-	Edges []graph.Edge   `json:"edges"`
+	Nodes []graph.NodeID
+	Edges []graph.Edge
 }
 
 // TakeGraphSnapshot captures g.
@@ -56,55 +65,55 @@ func (gs GraphSnapshot) Restore() *graph.Graph {
 
 // ClaimSnapshot is the ownership record of one physical edge.
 type ClaimSnapshot struct {
-	Edge graph.Edge `json:"edge"`
+	Edge graph.Edge
 	// Black marks an original/adversary-inserted edge; Colors lists the
-	// claiming clouds (ascending) otherwise.
-	Black  bool      `json:"black,omitempty"`
-	Colors []ColorID `json:"colors,omitempty"`
+	// claiming clouds otherwise.
+	Black  bool
+	Colors []ColorID
 }
 
 // CloudSnapshot is one expander cloud. The physical edge set is not
 // serialized: a cloud's claims always equal its maintainer's logical edges
 // between repairs (invariant 2), so restore derives them.
 type CloudSnapshot struct {
-	ID         ColorID            `json:"id"`
-	Kind       CloudKind          `json:"kind"`
-	Maintainer *expander.Snapshot `json:"maintainer"`
+	ID         ColorID
+	Kind       CloudKind
+	Maintainer *expander.Snapshot
 }
 
 // MembershipSnapshot lists the primary clouds one node belongs to.
 type MembershipSnapshot struct {
-	Node   graph.NodeID `json:"node"`
-	Colors []ColorID    `json:"colors"`
+	Node   graph.NodeID
+	Colors []ColorID
 }
 
 // BridgeLinkSnapshot is one node's secondary duty.
 type BridgeLinkSnapshot struct {
-	Node      graph.NodeID `json:"node"`
-	Primary   ColorID      `json:"primary"`
-	Secondary ColorID      `json:"secondary"`
+	Node      graph.NodeID
+	Primary   ColorID
+	Secondary ColorID
 }
 
 // Snapshot is the complete serializable state of a sequential engine. All
 // collections are sorted, so encoding is deterministic: equal states produce
-// byte-identical JSON.
+// byte-identical bytes.
 type Snapshot struct {
-	Version        int            `json:"version"`
-	Kappa          int            `json:"kappa"`
-	Seed           int64          `json:"seed"`
-	AlwaysCombine  bool           `json:"always_combine,omitempty"`
-	DisableSharing bool           `json:"disable_sharing,omitempty"`
-	RngDraws       uint64         `json:"rng_draws"`
-	Graph          GraphSnapshot  `json:"graph"`
-	Baseline       GraphSnapshot  `json:"baseline"`
-	Deleted        []graph.NodeID `json:"deleted,omitempty"`
-	Claims         []ClaimSnapshot `json:"claims"`
-	Clouds         []CloudSnapshot `json:"clouds,omitempty"`
-	NodePrimaries  []MembershipSnapshot `json:"node_primaries,omitempty"`
-	BridgeLinks    []BridgeLinkSnapshot `json:"bridge_links,omitempty"`
-	SharedOnce     []graph.NodeID       `json:"shared_once,omitempty"`
-	NextColor      ColorID              `json:"next_color"`
-	Stats          Stats                `json:"stats"`
+	Version        int
+	Kappa          int
+	Seed           int64
+	AlwaysCombine  bool
+	DisableSharing bool
+	RngDraws       uint64
+	Graph          GraphSnapshot
+	Baseline       GraphSnapshot
+	Deleted        []graph.NodeID
+	Claims         []ClaimSnapshot
+	Clouds         []CloudSnapshot
+	NodePrimaries  []MembershipSnapshot
+	BridgeLinks    []BridgeLinkSnapshot
+	SharedOnce     []graph.NodeID
+	NextColor      ColorID
+	Stats          Stats
 }
 
 // Snapshot captures the complete current state. The state must be quiescent
@@ -240,23 +249,178 @@ func RestoreState(snap *Snapshot) (*State, error) {
 	return s, nil
 }
 
-// SnapshotState serializes the complete engine state as deterministic JSON —
-// the engine-agnostic form a checkpoint store persists (see internal/server's
-// Snapshotter).
+// SnapshotState serializes the complete engine state in the deterministic
+// binary form described at the top of this file — the engine-agnostic bytes
+// a checkpoint store persists (see internal/server's Snapshotter).
 func (s *State) SnapshotState() ([]byte, error) {
 	if s.poisoned != nil {
 		return nil, s.poisonedErr()
 	}
-	return json.Marshal(s.Snapshot())
+	var w wire.Writer
+	s.Snapshot().Encode(&w)
+	return w.Bytes(), nil
 }
 
 // LoadSnapshot decodes an engine snapshot serialized by SnapshotState.
 func LoadSnapshot(data []byte) (*Snapshot, error) {
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	r := wire.NewReader(data)
+	snap := DecodeSnapshot(r)
+	if r.Err() == nil && snap.Version != SnapshotVersion {
+		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadSnapshot, snap.Version, SnapshotVersion)
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return &snap, nil
+	return snap, nil
+}
+
+// Encode appends the snapshot's binary form to w, fields in declaration
+// order. Lists sorted by node or edge carry their keys as differences; a
+// claim's color count doubles as its Black flag (zero colors is black).
+func (snap *Snapshot) Encode(w *wire.Writer) {
+	w.Uvarint(uint64(snap.Version))
+	w.Int(int64(snap.Kappa))
+	w.Int(snap.Seed)
+	w.Bool(snap.AlwaysCombine)
+	w.Bool(snap.DisableSharing)
+	w.Uvarint(snap.RngDraws)
+	encodeGraph(w, snap.Graph)
+	encodeGraph(w, snap.Baseline)
+	w.Nodes(snap.Deleted)
+
+	w.Uvarint(uint64(len(snap.Claims)))
+	var prevEdge graph.Edge
+	for _, cl := range snap.Claims {
+		w.Edge(prevEdge, cl.Edge)
+		prevEdge = cl.Edge
+		encodeColors(w, cl.Colors)
+	}
+
+	w.Uvarint(uint64(len(snap.Clouds)))
+	for _, c := range snap.Clouds {
+		w.Int(int64(c.ID))
+		w.Int(int64(c.Kind))
+		c.Maintainer.Encode(w)
+	}
+
+	w.Uvarint(uint64(len(snap.NodePrimaries)))
+	prevNode := graph.NodeID(0)
+	for _, ms := range snap.NodePrimaries {
+		w.Uvarint(uint64(ms.Node - prevNode))
+		prevNode = ms.Node
+		encodeColors(w, ms.Colors)
+	}
+
+	w.Uvarint(uint64(len(snap.BridgeLinks)))
+	prevNode = 0
+	for _, bl := range snap.BridgeLinks {
+		w.Uvarint(uint64(bl.Node - prevNode))
+		prevNode = bl.Node
+		w.Int(int64(bl.Primary))
+		w.Int(int64(bl.Secondary))
+	}
+
+	w.Nodes(snap.SharedOnce)
+	w.Int(int64(snap.NextColor))
+	for _, v := range snap.Stats.fields() {
+		w.Int(int64(*v))
+	}
+}
+
+// DecodeSnapshot reads what Encode wrote. Failures stay in r (see
+// wire.Reader.Err); RestoreState validates the content. A snapshot of
+// another version is returned with only Version set.
+func DecodeSnapshot(r *wire.Reader) *Snapshot {
+	snap := &Snapshot{Version: int(r.Uvarint())}
+	if snap.Version != SnapshotVersion {
+		// Whatever follows is in another schema (a version-1 snapshot is
+		// JSON): stop before reading it as lengths. Callers check Version.
+		return snap
+	}
+	snap.Kappa = int(r.Int())
+	snap.Seed = r.Int()
+	snap.AlwaysCombine = r.Bool()
+	snap.DisableSharing = r.Bool()
+	snap.RngDraws = r.Uvarint()
+	snap.Graph = decodeGraph(r)
+	snap.Baseline = decodeGraph(r)
+	snap.Deleted = r.Nodes()
+
+	// A claim is an edge (two values) and a color count.
+	snap.Claims = make([]ClaimSnapshot, r.Count(3))
+	var prevEdge graph.Edge
+	for i := range snap.Claims {
+		prevEdge = r.Edge(prevEdge)
+		colors := decodeColors(r)
+		snap.Claims[i] = ClaimSnapshot{Edge: prevEdge, Black: len(colors) == 0, Colors: colors}
+	}
+
+	// A cloud is an ID, a kind, and a maintainer of at least four values.
+	snap.Clouds = make([]CloudSnapshot, r.Count(6))
+	for i := range snap.Clouds {
+		snap.Clouds[i] = CloudSnapshot{
+			ID:         ColorID(r.Int()),
+			Kind:       CloudKind(r.Int()),
+			Maintainer: expander.DecodeSnapshot(r),
+		}
+	}
+
+	snap.NodePrimaries = make([]MembershipSnapshot, r.Count(2))
+	prevNode := graph.NodeID(0)
+	for i := range snap.NodePrimaries {
+		prevNode += graph.NodeID(r.Uvarint())
+		snap.NodePrimaries[i] = MembershipSnapshot{Node: prevNode, Colors: decodeColors(r)}
+	}
+
+	snap.BridgeLinks = make([]BridgeLinkSnapshot, r.Count(3))
+	prevNode = 0
+	for i := range snap.BridgeLinks {
+		prevNode += graph.NodeID(r.Uvarint())
+		snap.BridgeLinks[i] = BridgeLinkSnapshot{
+			Node: prevNode, Primary: ColorID(r.Int()), Secondary: ColorID(r.Int()),
+		}
+	}
+
+	snap.SharedOnce = r.Nodes()
+	snap.NextColor = ColorID(r.Int())
+	for _, v := range snap.Stats.fields() {
+		*v = int(r.Int())
+	}
+	return snap
+}
+
+func encodeGraph(w *wire.Writer, gs GraphSnapshot) {
+	w.Nodes(gs.Nodes)
+	w.Edges(gs.Edges)
+}
+
+func decodeGraph(r *wire.Reader) GraphSnapshot {
+	return GraphSnapshot{Nodes: r.Nodes(), Edges: r.Edges()}
+}
+
+// encodeColors writes a color list in the order given: a claim's colors are
+// in claiming order, which restore must reproduce.
+func encodeColors(w *wire.Writer, colors []ColorID) {
+	w.Uvarint(uint64(len(colors)))
+	for _, id := range colors {
+		w.Int(int64(id))
+	}
+}
+
+func decodeColors(r *wire.Reader) []ColorID {
+	colors := make([]ColorID, r.Count(1))
+	for i := range colors {
+		colors[i] = ColorID(r.Int())
+	}
+	return colors
+}
+
+// fields lists the counters in wire order.
+func (st *Stats) fields() [8]*int {
+	return [8]*int{
+		&st.Insertions, &st.Deletions, &st.HealEdgesAdded, &st.HealEdgesRemoved,
+		&st.PrimaryClouds, &st.SecondaryClouds, &st.Combines, &st.Shares,
+	}
 }
 
 func sortedNodeSet(set map[graph.NodeID]struct{}) []graph.NodeID {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -66,10 +67,10 @@ func applyEvent(t *testing.T, s *State, ev testEvent) {
 
 // TestSnapshotRestoreIdentity is the sequential engine's recovery-identity
 // property: for every crash point k, running k events, snapshotting through
-// JSON, restoring, and running the tail must be indistinguishable from the
-// uncrashed run — asserted in the strongest form available, byte-identical
-// final snapshots (which cover the graphs, every cloud wiring, membership
-// maps, counters, and the rng stream position).
+// the binary wire form, restoring, and running the tail must be
+// indistinguishable from the uncrashed run — asserted in the strongest form
+// available, byte-identical final snapshots (which cover the graphs, every
+// cloud wiring, membership maps, counters, and the rng stream position).
 func TestSnapshotRestoreIdentity(t *testing.T) {
 	cfg := Config{Kappa: 4, Seed: 33}
 	g0 := cycle(14)
@@ -158,8 +159,21 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 		}
 	}
 
-	if _, err := LoadSnapshot([]byte(`{"version":`)); err == nil {
-		t.Fatal("truncated JSON accepted")
+	data, err := s.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(data); cut += 1 + len(data)/97 {
+		if _, err := LoadSnapshot(data[:cut]); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("snapshot truncated to %d of %d bytes: %v, want ErrBadSnapshot", cut, len(data), err)
+		}
+	}
+	if _, err := LoadSnapshot(append(data[:len(data):len(data)], 0)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("snapshot with a trailing byte: %v, want ErrBadSnapshot", err)
+	}
+	// A version-1 snapshot was JSON: its first byte reads as version 123.
+	if _, err := LoadSnapshot([]byte(`{"version":1,"kappa":4}`)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("version-1 JSON snapshot: %v, want ErrBadSnapshot", err)
 	}
 }
 

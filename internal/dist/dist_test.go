@@ -11,7 +11,7 @@ import (
 	"github.com/xheal/xheal/internal/workload"
 )
 
-func regularEngine(t *testing.T, n, halfDeg, kappa int, seed int64) *Engine {
+func regularEngine(t testing.TB, n, halfDeg, kappa int, seed int64) *Engine {
 	t.Helper()
 	g0, err := workload.RandomRegular(n, halfDeg, rand.New(rand.NewSource(seed)))
 	if err != nil {

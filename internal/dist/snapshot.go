@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +8,7 @@ import (
 
 	"github.com/xheal/xheal/internal/core"
 	"github.com/xheal/xheal/internal/graph"
+	"github.com/xheal/xheal/internal/wire"
 )
 
 // rankSeedSalt derives the engine's rank stream from the config seed (kept
@@ -20,8 +20,8 @@ var ErrBadSnapshot = errors.New("dist: malformed snapshot")
 
 // NodeRank is one alive node's private leader-election rank.
 type NodeRank struct {
-	Node graph.NodeID `json:"node"`
-	Rank int64        `json:"rank"`
+	Node graph.NodeID
+	Rank int64
 }
 
 // Snapshot is the complete serializable state of a distributed engine: the
@@ -30,15 +30,15 @@ type NodeRank struct {
 // nodes' local views are not serialized — between repairs every view equals
 // the healed graph's neighbor sets exactly (ValidateLocalViews), so restore
 // derives them. All collections are sorted: equal states produce
-// byte-identical JSON.
+// byte-identical bytes.
 type Snapshot struct {
-	Version     int             `json:"version"`
-	Core        *core.Snapshot  `json:"core"`
-	Ranks       []NodeRank      `json:"ranks"`
-	RngDraws    uint64          `json:"rng_draws"`
-	Costs       []DeletionCost  `json:"costs,omitempty"`
-	Totals      Totals          `json:"totals"`
-	BlackDegSum int             `json:"black_deg_sum"`
+	Version     int
+	Core        *core.Snapshot
+	Ranks       []NodeRank
+	RngDraws    uint64
+	Costs       []DeletionCost
+	Totals      Totals
+	BlackDegSum int
 }
 
 // Snapshot captures the complete current state. The engine must be quiescent
@@ -121,23 +121,85 @@ func RestoreEngine(snap *Snapshot) (*Engine, error) {
 	return e, nil
 }
 
-// SnapshotState serializes the complete engine state as deterministic JSON —
-// the engine-agnostic form a checkpoint store persists (see internal/server's
-// Snapshotter).
+// SnapshotState serializes the complete engine state in deterministic binary
+// form (internal/wire; the inner core snapshot is embedded as
+// core.Snapshot.Encode writes it) — the engine-agnostic bytes a checkpoint
+// store persists (see internal/server's Snapshotter).
 func (e *Engine) SnapshotState() ([]byte, error) {
 	if e.closed {
 		return nil, ErrClosed
 	}
-	return json.Marshal(e.Snapshot())
+	var w wire.Writer
+	e.Snapshot().encode(&w)
+	return w.Bytes(), nil
 }
 
 // LoadSnapshot decodes an engine snapshot serialized by SnapshotState.
 func LoadSnapshot(data []byte) (*Snapshot, error) {
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	r := wire.NewReader(data)
+	snap := decodeSnapshot(r)
+	if r.Err() == nil && (snap.Version != core.SnapshotVersion || snap.Core.Version != core.SnapshotVersion) {
+		return nil, fmt.Errorf("%w: version %d/%d (want %d)", ErrBadSnapshot,
+			snap.Version, snap.Core.Version, core.SnapshotVersion)
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return &snap, nil
+	return snap, nil
+}
+
+func (snap *Snapshot) encode(w *wire.Writer) {
+	w.Uvarint(uint64(snap.Version))
+	snap.Core.Encode(w)
+	w.Uvarint(uint64(len(snap.Ranks)))
+	prev := graph.NodeID(0)
+	for _, nr := range snap.Ranks { // ascending by node
+		w.Uvarint(uint64(nr.Node - prev))
+		prev = nr.Node
+		w.Int(nr.Rank)
+	}
+	w.Uvarint(snap.RngDraws)
+	w.Uvarint(uint64(len(snap.Costs)))
+	for _, c := range snap.Costs {
+		w.Uvarint(uint64(c.Node))
+		for _, v := range [...]int{c.BlackDegree, c.Wound, c.Rounds, c.Messages} {
+			w.Int(int64(v))
+		}
+	}
+	for _, v := range [...]int{snap.Totals.Deletions, snap.Totals.Rounds, snap.Totals.Messages, snap.BlackDegSum} {
+		w.Int(int64(v))
+	}
+}
+
+// decodeSnapshot reads what encode wrote; failures stay in r. A snapshot of
+// another version, outer or inner, is returned as far as it was read.
+func decodeSnapshot(r *wire.Reader) *Snapshot {
+	snap := &Snapshot{Version: int(r.Uvarint()), Core: &core.Snapshot{}}
+	if snap.Version != core.SnapshotVersion {
+		return snap
+	}
+	snap.Core = core.DecodeSnapshot(r)
+	if snap.Core.Version != core.SnapshotVersion {
+		return snap
+	}
+	snap.Ranks = make([]NodeRank, r.Count(2))
+	prev := graph.NodeID(0)
+	for i := range snap.Ranks {
+		prev += graph.NodeID(r.Uvarint())
+		snap.Ranks[i] = NodeRank{Node: prev, Rank: r.Int()}
+	}
+	snap.RngDraws = r.Uvarint()
+	snap.Costs = make([]DeletionCost, r.Count(5))
+	for i := range snap.Costs {
+		snap.Costs[i] = DeletionCost{
+			Node:        graph.NodeID(r.Uvarint()),
+			BlackDegree: int(r.Int()), Wound: int(r.Int()),
+			Rounds: int(r.Int()), Messages: int(r.Int()),
+		}
+	}
+	snap.Totals = Totals{Deletions: int(r.Int()), Rounds: int(r.Int()), Messages: int(r.Int())}
+	snap.BlackDegSum = int(r.Int())
+	return snap
 }
 
 // Stats returns the healing-work counters of the inner reference state

@@ -7,6 +7,7 @@ import (
 
 	"github.com/xheal/xheal/internal/graph"
 	"github.com/xheal/xheal/internal/hgraph"
+	"github.com/xheal/xheal/internal/wire"
 )
 
 // ErrBadSnapshot wraps all snapshot-decode failures.
@@ -16,10 +17,31 @@ var ErrBadSnapshot = errors.New("expander: malformed snapshot")
 // rebuild watermark, and — in H-graph mode — the exact wiring. Clique mode
 // needs no wiring (Edges derives it from the members).
 type Snapshot struct {
-	Kappa   int              `json:"kappa"`
-	Members []graph.NodeID   `json:"members"` // ascending
-	Peak    int              `json:"peak"`
-	H       *hgraph.Snapshot `json:"h,omitempty"` // nil in clique mode
+	Kappa   int
+	Members []graph.NodeID // ascending
+	Peak    int
+	H       *hgraph.Snapshot // nil in clique mode
+}
+
+// Encode appends the snapshot's binary form to w.
+func (s *Snapshot) Encode(w *wire.Writer) {
+	w.Int(int64(s.Kappa))
+	w.Nodes(s.Members)
+	w.Int(int64(s.Peak))
+	w.Bool(s.H != nil)
+	if s.H != nil {
+		s.H.Encode(w)
+	}
+}
+
+// DecodeSnapshot reads what Encode wrote. Failures stay in r (see
+// wire.Reader.Err); Restore validates the content.
+func DecodeSnapshot(r *wire.Reader) *Snapshot {
+	s := &Snapshot{Kappa: int(r.Int()), Members: r.Nodes(), Peak: int(r.Int())}
+	if r.Bool() {
+		s.H = hgraph.DecodeSnapshot(r)
+	}
+	return s
 }
 
 // Snapshot captures the full internal state of m.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"github.com/xheal/xheal/internal/graph"
+	"github.com/xheal/xheal/internal/wire"
 )
 
 // ErrBadSnapshot wraps all snapshot-decode failures.
@@ -18,13 +19,35 @@ var ErrBadSnapshot = errors.New("hgraph: malformed snapshot")
 // wiring would diverge from the uncrashed run on the next Insert.
 type Snapshot struct {
 	// D is the number of Hamilton cycles.
-	D int `json:"d"`
+	D int
 	// Order is the internal sampling order (swap-remove order, NOT sorted).
-	Order []graph.NodeID `json:"order"`
+	Order []graph.NodeID
 	// Cycles[i] is cycle i as a successor walk starting at Order[0]:
 	// Cycles[i][j+1] = succ_i(Cycles[i][j]), omitting the closing edge back
 	// to Order[0]. Each walk is a permutation of Order.
-	Cycles [][]graph.NodeID `json:"cycles"`
+	Cycles [][]graph.NodeID
+}
+
+// Encode appends the snapshot's binary form to w: D, the order, then each
+// cycle walk, all as ordered ID sequences.
+func (s *Snapshot) Encode(w *wire.Writer) {
+	w.Int(int64(s.D))
+	w.NodeSeq(s.Order)
+	w.Uvarint(uint64(len(s.Cycles)))
+	for _, walk := range s.Cycles {
+		w.NodeSeq(walk)
+	}
+}
+
+// DecodeSnapshot reads what Encode wrote. Failures stay in r (see
+// wire.Reader.Err); Restore validates the content.
+func DecodeSnapshot(r *wire.Reader) *Snapshot {
+	s := &Snapshot{D: int(r.Int()), Order: r.NodeSeq()}
+	s.Cycles = make([][]graph.NodeID, r.Count(1))
+	for i := range s.Cycles {
+		s.Cycles[i] = r.NodeSeq()
+	}
+	return s
 }
 
 // Snapshot captures the full internal state of h.

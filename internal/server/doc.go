@@ -39,7 +39,10 @@
 // Health has one path: a snapshot (connectivity, degree ratio, cached λ₂ and
 // sampled stretch with their ages) read from the incremental tracker and
 // caches the tick loop feeds with each batch's structural delta, plus the
-// serving counters — no graph clone, no traversal. Handler additionally
+// serving counters — no graph clone, no traversal, and no wait for the apply
+// lock: the loop publishes an immutable copy of its counters before the
+// first ack of every tick, and Health, Counters and the /metrics closures
+// read that. Handler additionally
 // exposes the counters in Prometheus text form at /metrics. When Config.Log is set,
 // every applied batch is appended — in exact application order — to an
 // internal/trace event log, so any serving run replays byte-for-byte

@@ -15,10 +15,11 @@ import (
 	"github.com/xheal/xheal/internal/trace"
 )
 
-// This file is the server's durability seam: periodic checkpoints of the
-// engine's complete state, log rotation/compaction anchored on them, and
-// startup recovery (checkpoint + log-tail replay) with an optional
-// recovery-identity check against a from-genesis replay.
+// This file is the server's durability seam: checkpoints of the engine's
+// complete state — an image whenever the graph has changed by its own size,
+// see checkpointSizeDivisor in server.go — log rotation/compaction anchored
+// on them, and startup recovery (checkpoint + log-tail replay) with an
+// optional recovery-identity check against a from-genesis replay.
 //
 // The ordering contract that makes acknowledged events crash-safe is
 // log-before-ack (apply → log append → ack, all inside one tick) plus
@@ -54,9 +55,10 @@ func GenesisDigest(g *graph.Graph) string {
 }
 
 // checkpointLocked snapshots the engine and saves a checkpoint, then rotates
-// and compacts the event log behind it. Caller holds s.mu. Failures are
-// counted, never fatal: the daemon keeps serving on its log alone, and the
-// previous checkpoint still recovers.
+// and compacts the event log behind it. Caller holds s.mu and publishes
+// afterwards. Failures are counted, never fatal: the daemon keeps serving on
+// its log alone, the previous checkpoint still recovers, and the change
+// counter keeps what it holds, so the next opportunity tries again.
 func (s *Server) checkpointLocked() {
 	store := s.cfg.Checkpoints
 	if store == nil {
@@ -96,6 +98,7 @@ func (s *Server) checkpointLocked() {
 	s.counters.Checkpoints++
 	s.counters.LastCheckpointTick = c.Tick
 	s.counters.LastCheckpointEvents = c.Events
+	s.changes = 0
 	if rl, ok := s.cfg.Log.(RotatingLog); ok {
 		if err := rl.Rotate(c.Tick, c.Name()); err != nil {
 			s.failLog(err)
@@ -130,10 +133,15 @@ type RecoverConfig struct {
 
 // Recovered describes what Recover rebuilt.
 type Recovered struct {
-	// Engine is ready to serve; pass Tick/Events as Config.Resume.
+	// Engine is ready to serve; pass Tick/Events/Changes as Config.Resume.
 	Engine Engine
 	Tick   uint64
 	Events uint64
+	// Changes is how far the recovered state is ahead of the image it was
+	// built on, in the checkpoint rule's unit (see Resume.Changes): the
+	// structural change of the replayed tail — plus, when no image was
+	// found, the size of the genesis graph, which no image holds either.
+	Changes uint64
 	// FromCheckpoint is false when the state was replayed from genesis.
 	FromCheckpoint bool
 	// Replayed counts log-tail events applied on top of the base state;
@@ -216,6 +224,7 @@ func Recover(rc RecoverConfig) (*Recovered, error) {
 		if err != nil {
 			return nil, err
 		}
+		rec.Changes = structureSize(rec.Engine)
 	}
 
 	if tr != nil {
@@ -232,10 +241,12 @@ func Recover(rc RecoverConfig) (*Recovered, error) {
 		}
 		rec.TornTail = tr.TornTail
 		for i, ev := range tr.Events[idx:] {
-			if err := applyLogged(rec.Engine, ev); err != nil {
+			delta, err := applyLogged(rec.Engine, ev)
+			if err != nil {
 				closeEngine(rec.Engine)
 				return nil, fmt.Errorf("server: replay tail event %d: %w", i, err)
 			}
+			rec.Changes += deltaSize(delta)
 			rec.Events++
 			rec.Tick++
 			rec.Replayed++
@@ -269,7 +280,7 @@ func VerifyRecovery(recovered Engine, engineName, logDir string, kappa int, seed
 	}
 	defer closeEngine(fresh)
 	for i, ev := range full.Events {
-		if err := applyLogged(fresh, ev); err != nil {
+		if _, err := applyLogged(fresh, ev); err != nil {
 			return fmt.Errorf("server: genesis replay event %d: %w", i, err)
 		}
 	}
@@ -287,8 +298,9 @@ func VerifyRecovery(recovered Engine, engineName, logDir string, kappa int, seed
 	return nil
 }
 
-// applyLogged applies one logged event as its own timestep.
-func applyLogged(eng Engine, ev trace.Event) error {
+// applyLogged applies one logged event as its own timestep and returns the
+// structural change it made.
+func applyLogged(eng Engine, ev trace.Event) (core.TickDelta, error) {
 	var b core.Batch
 	switch ev.Kind {
 	case "insert":
@@ -296,9 +308,9 @@ func applyLogged(eng Engine, ev trace.Event) error {
 	case "delete":
 		b.Deletions = []graph.NodeID{ev.Node}
 	default:
-		return fmt.Errorf("server: replay: %w: kind %q", trace.ErrBadEvent, ev.Kind)
+		return core.TickDelta{}, fmt.Errorf("server: replay: %w: kind %q", trace.ErrBadEvent, ev.Kind)
 	}
-	return eng.ApplyBatch(b)
+	return eng.ApplyBatchDelta(b, 1)
 }
 
 // NewEngine builds a fresh engine of the named kind (EngineCore or

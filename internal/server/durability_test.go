@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -104,6 +106,36 @@ func snapshotBytes(t *testing.T, eng Engine) []byte {
 	return data
 }
 
+// longTailCrashPoint finds a crash point the checkpoint rule makes
+// interesting: the first k, off the opportunity grid, at which the change
+// since the last image has already reached the structure's size — a crash
+// there leaves the previous image and a tail longer than the spacing.
+func longTailCrashPoint(t *testing.T, engineName string, g0 *graph.Graph, schedule []schedEvent, every int) int {
+	t.Helper()
+	eng := mustEngine(t, engineName, g0.Clone())
+	defer closeEngine(eng)
+	s := New(eng, Config{Checkpoints: checkpoint.NewMemStore(), CheckpointEvery: every})
+	defer s.Close()
+	for i, ev := range schedule {
+		if err := s.Submit(context.Background(), ev.adversary()); err != nil {
+			t.Fatalf("probe submit %d: %v", i, err)
+		}
+		awaitTickEnd(s)
+		d := s.Health().Durability
+		if k := i + 1; k%every != 0 && d.Checkpoints > 0 && d.ChangesSinceCheckpoint >= d.CheckpointDueAtChanges {
+			return k
+		}
+	}
+	t.Fatal("the schedule never crosses the checkpoint threshold off the opportunity grid")
+	return 0
+}
+
+// v1CheckpointFile is what a daemon before format version 2 left in its
+// checkpoint directory: one JSON envelope around a JSON state.
+const v1CheckpointFile = `{"version":1,"tick":2,"events":2,"engine":"core","kappa":4,"seed":5,` +
+	`"state":{"version":1,"kappa":4,"seed":5,"rng_draws":0,"graph":{"nodes":[0,1],"edges":[{"U":0,"V":1}]}},` +
+	`"checksum":"0000000000000000000000000000000000000000000000000000000000000000"}`
+
 // TestServerCrashRecoveryIdentity is the serving-stack recovery-identity
 // property, for both engines: at every crash point k, a daemon that applied
 // and acknowledged k events is abandoned mid-run (no shutdown, exactly what a
@@ -112,11 +144,17 @@ func snapshotBytes(t *testing.T, eng Engine) []byte {
 // of the log, and after serving the remaining events the final state must
 // byte-match an uncrashed run. A final clean restart must replay zero tail
 // events (the shutdown checkpoint covers the whole log).
+//
+// Two crash points are there for the checkpoint rule: one after the change
+// threshold is crossed but before the next opportunity (recovery gets the
+// previous image and a tail longer than the spacing), and one before the
+// first image with a version-1 JSON file in the store (not a checkpoint to
+// this version: recovery replays the log from genesis).
 func TestServerCrashRecoveryIdentity(t *testing.T) {
 	for _, engineName := range []string{EngineCore, EngineDist} {
 		t.Run(engineName, func(t *testing.T) {
 			g0 := ringGraph(14)
-			const steps = 40
+			const steps, every = 40, 3
 			schedule := genServerSchedule(t, engineName, g0, steps, 101)
 
 			genesis := mustEngine(t, engineName, g0.Clone())
@@ -126,8 +164,22 @@ func TestServerCrashRecoveryIdentity(t *testing.T) {
 			}
 			want := snapshotBytes(t, genesis)
 
-			ctx := context.Background()
+			type crashPoint struct {
+				k        int
+				longTail bool // recovery must find an image and a tail > every
+				plantV1  bool // a v1 JSON file sits in the store; no image yet
+			}
+			var points []crashPoint
 			for k := 0; k <= steps; k += 8 {
+				points = append(points, crashPoint{k: k})
+			}
+			points = append(points,
+				crashPoint{k: longTailCrashPoint(t, engineName, g0, schedule, every), longTail: true},
+				crashPoint{k: every - 1, plantV1: true})
+
+			ctx := context.Background()
+			for _, cp := range points {
+				k := cp.k
 				dir := t.TempDir()
 				logDir := filepath.Join(dir, "log")
 				store, err := checkpoint.NewFileStore(filepath.Join(dir, "checkpoints"), 3)
@@ -139,7 +191,7 @@ func TestServerCrashRecoveryIdentity(t *testing.T) {
 					t.Fatalf("k=%d: log: %v", k, err)
 				}
 				durable := Config{
-					Log: fl, Checkpoints: store, CheckpointEvery: 3, ArchiveLog: true,
+					Log: fl, Checkpoints: store, CheckpointEvery: every, ArchiveLog: true,
 					EngineName: engineName, Seed: recoverySeed, GenesisDigest: GenesisDigest(g0),
 				}
 				engA := mustEngine(t, engineName, g0.Clone())
@@ -157,6 +209,12 @@ func TestServerCrashRecoveryIdentity(t *testing.T) {
 				sA.crash()
 				fl.Close()
 				closeEngine(engA)
+				if cp.plantV1 {
+					name := filepath.Join(dir, "checkpoints", "ckpt-0000000000000002-0000000000000002.json")
+					if err := os.WriteFile(name, []byte(v1CheckpointFile), 0o644); err != nil {
+						t.Fatalf("k=%d: plant v1 checkpoint: %v", k, err)
+					}
+				}
 
 				rc := RecoverConfig{
 					Store: store, LogDir: logDir,
@@ -170,6 +228,14 @@ func TestServerCrashRecoveryIdentity(t *testing.T) {
 					t.Fatalf("k=%d: recovered %d events (replayed %d), want %d",
 						k, rec.Events, rec.Replayed, k)
 				}
+				if cp.longTail && (!rec.FromCheckpoint || rec.Replayed <= every) {
+					t.Fatalf("k=%d: recovered from checkpoint=%v with a tail of %d, want the previous image and a tail longer than the spacing %d",
+						k, rec.FromCheckpoint, rec.Replayed, every)
+				}
+				if cp.plantV1 && (rec.FromCheckpoint || rec.Replayed != k) {
+					t.Fatalf("k=%d: with only a v1 file in the store, recovered from checkpoint=%v replaying %d; want the log from genesis",
+						k, rec.FromCheckpoint, rec.Replayed)
+				}
 				if err := VerifyRecovery(rec.Engine, engineName, logDir, 4, recoverySeed); err != nil {
 					t.Fatalf("k=%d: recovery identity: %v", k, err)
 				}
@@ -181,7 +247,7 @@ func TestServerCrashRecoveryIdentity(t *testing.T) {
 				}
 				cfgB := durable
 				cfgB.Log = flB
-				cfgB.Resume = Resume{Tick: rec.Tick, Events: rec.Events}
+				cfgB.Resume = Resume{Tick: rec.Tick, Events: rec.Events, Changes: rec.Changes}
 				sB := New(rec.Engine, cfgB)
 				for i, ev := range schedule[k:] {
 					if err := sB.Submit(ctx, ev.adversary()); err != nil {
@@ -308,5 +374,113 @@ func TestRecoverRejectsMismatchedRun(t *testing.T) {
 		t.Fatalf("legacy checkpoint without digest: %v", err)
 	} else {
 		closeEngine(rec.Engine)
+	}
+}
+
+// savedTicks records the tick of every image that reaches the store.
+type savedTicks struct {
+	checkpoint.Store
+	ticks []uint64
+}
+
+func (r *savedTicks) Save(c *checkpoint.Checkpoint) error {
+	err := r.Store.Save(c)
+	if err == nil {
+		r.ticks = append(r.ticks, c.Tick)
+	}
+	return err
+}
+
+// The checkpoint trigger is a function of the event stream and the store's
+// contents, nothing else: the same schedule images at the same ticks every
+// time — at the first opportunity, then only at opportunities where the
+// change since the last image has reached the structure's size — and a daemon
+// that crashes anywhere and resumes from Recover's watermarks and change
+// count images at exactly the opportunities the uncrashed one does. (Every
+// tick here is one event, so recovery's one-event-per-tick replay numbers the
+// ticks as the first incarnation did.)
+func TestCheckpointTriggerFollowsTheEventStream(t *testing.T) {
+	g0 := ringGraph(14)
+	const steps, every = 48, 3
+	schedule := genServerSchedule(t, EngineCore, g0, steps, 303)
+	ctx := context.Background()
+
+	// run serves the schedule, crashing and recovering after crashAt events
+	// (never, when crashAt is 0), and returns the ticks of every image saved.
+	run := func(crashAt int) []uint64 {
+		dir := t.TempDir()
+		logDir := filepath.Join(dir, "log")
+		fs, err := checkpoint.NewFileStore(filepath.Join(dir, "checkpoints"), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := &savedTicks{Store: fs}
+		cfg := Config{
+			Checkpoints: store, CheckpointEvery: every, ArchiveLog: true,
+			EngineName: EngineCore, Seed: recoverySeed, GenesisDigest: GenesisDigest(g0),
+		}
+		eng := mustEngine(t, EngineCore, g0.Clone())
+		rest := schedule
+		if crashAt > 0 {
+			fl, err := trace.OpenFileLog(logDir, g0, 0, 0, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Log = fl
+			s := New(eng, cfg)
+			for _, ev := range schedule[:crashAt] {
+				if err := s.Submit(ctx, ev.adversary()); err != nil {
+					t.Fatalf("crashAt=%d: %v", crashAt, err)
+				}
+			}
+			s.crash()
+			fl.Close()
+			rec, err := Recover(RecoverConfig{
+				Store: store, LogDir: logDir,
+				Engine: EngineCore, Kappa: 4, Seed: recoverySeed, Genesis: g0.Clone(),
+			})
+			if err != nil {
+				t.Fatalf("crashAt=%d: recover: %v", crashAt, err)
+			}
+			if rec.Tick != uint64(crashAt) {
+				t.Fatalf("crashAt=%d: recovered at tick %d", crashAt, rec.Tick)
+			}
+			eng, rest = rec.Engine, schedule[crashAt:]
+			cfg.Resume = Resume{Tick: rec.Tick, Events: rec.Events, Changes: rec.Changes}
+		}
+		fl, err := trace.OpenFileLog(logDir, g0, cfg.Resume.Tick, cfg.Resume.Events, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Log = fl
+		s := New(eng, cfg)
+		for _, ev := range rest {
+			if err := s.Submit(ctx, ev.adversary()); err != nil {
+				t.Fatalf("crashAt=%d: %v", crashAt, err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("crashAt=%d: close: %v", crashAt, err)
+		}
+		return store.ticks
+	}
+
+	want := run(0)
+	if again := run(0); !slices.Equal(want, again) {
+		t.Fatalf("the same schedule imaged at ticks %v, then at %v", want, again)
+	}
+	if len(want) < 4 || want[0] != every || len(want) > steps/every/2 {
+		t.Fatalf("images at ticks %v: want the first at the first opportunity (tick %d), several more, and most of the %d opportunities passed over",
+			want, every, steps/every)
+	}
+	for _, tick := range want[:len(want)-1] { // the last is the final drain's
+		if tick%every != 0 {
+			t.Fatalf("image at tick %d is off the opportunity grid (every %d): %v", tick, every, want)
+		}
+	}
+	for crashAt := 1; crashAt < steps; crashAt += 2 {
+		if got := run(crashAt); !slices.Equal(want, got) {
+			t.Fatalf("crash after %d events: images at ticks %v, the uncrashed run's are %v", crashAt, got, want)
+		}
 	}
 }

@@ -164,7 +164,7 @@ func (s *Server) auditLive() {
 }
 
 // liveHealth assembles the health snapshot from the caches.
-// Called without s.mu; c and logErr were snapshotted under it.
+// Called without s.mu; c and logErr come from the published copy.
 func (s *Server) liveHealth(c Counters, logErr error) Health {
 	l := s.live
 	tv := l.tracker.Values()
@@ -232,10 +232,9 @@ func (s *Server) liveHealth(c Counters, logErr error) Health {
 // liveAuditError returns the first tracker audit divergence, if any — nil
 // in a healthy daemon.
 func (s *Server) liveAuditError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.liveAuditErr == nil {
+	err := s.pub.Load().liveAuditErr
+	if err == nil {
 		return nil
 	}
-	return fmt.Errorf("incremental metrics diverged: %w", s.liveAuditErr)
+	return fmt.Errorf("incremental metrics diverged: %w", err)
 }

@@ -15,8 +15,10 @@ import (
 // purpose: the repo takes no dependencies, and the format is lines.
 
 // buildRegistry registers every serving metric. Counters and gauges are
-// pull closures evaluated at scrape time; histograms are the live
-// instruments the tick loop observes into.
+// pull closures evaluated at scrape time — over the loop's published copy
+// (Counters), the tracker and the caches, never over s.mu, so a scrape does
+// not wait for a tick or a checkpoint; histograms are the live instruments
+// the tick loop observes into.
 func (s *Server) buildRegistry() {
 	reg := obs.NewRegistry()
 	s.reg = reg
@@ -116,6 +118,10 @@ func (s *Server) buildRegistry() {
 			c(func(c Counters) float64 { return float64(c.LastCheckpointTick) }))
 		reg.Gauge("xheal_serve_checkpoint_last_events", "Event watermark of the newest saved checkpoint.",
 			c(func(c Counters) float64 { return float64(c.LastCheckpointEvents) }))
+		reg.Gauge("xheal_serve_changes_since_checkpoint", "Structural change (nodes and edges added or removed) applied since the newest image: what a restart would replay on top of it.",
+			func() float64 { return float64(s.pub.Load().changes) })
+		reg.Gauge("xheal_serve_checkpoint_due_at_changes", "Change at which the next checkpoint opportunity takes an image: nodes + edges of the healed graph.",
+			func() float64 { return float64(s.pub.Load().due) })
 	}
 
 	s.tickHist = obs.MustHistogram(obs.LatencyBuckets())

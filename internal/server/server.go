@@ -81,12 +81,15 @@ type Config struct {
 	// rotates to a fresh segment after every checkpoint and compacts the
 	// segments the checkpoint covers.
 	Log EventLog
-	// Checkpoints, when set, enables durability: the server saves a
-	// checkpoint every CheckpointEvery applied ticks (default 32) and once
-	// more during the final drain, then rotates and compacts the event log
-	// behind it.
+	// Checkpoints, when set, enables durability: every CheckpointEvery
+	// applied ticks is a checkpoint opportunity, at which the server saves an
+	// image if the graph has changed by its own size since the last one (see
+	// checkpointSizeDivisor), and once more during the final drain; after
+	// each image it rotates and compacts the event log behind it.
 	Checkpoints checkpoint.Store
-	// CheckpointEvery is the checkpoint cadence in applied ticks (default 32).
+	// CheckpointEvery is the spacing, in applied ticks, of checkpoint
+	// opportunities (default 32) — the grid on which the rule above is
+	// evaluated, not the cadence of images.
 	CheckpointEvery int
 	// ArchiveLog makes compaction move covered log segments to the log
 	// directory's archive/ subdirectory instead of deleting them, preserving
@@ -164,15 +167,22 @@ type SyncingLog interface {
 }
 
 // Snapshotter is the Engine facet durability uses: the complete engine state
-// as deterministic JSON.
+// as deterministic bytes (binary; see internal/core/snapshot.go).
 type Snapshotter interface {
 	SnapshotState() ([]byte, error)
 }
 
-// Resume carries the run-global watermarks a recovered daemon restarts from.
+// Resume carries what a recovered daemon restarts from: the run-global
+// watermarks, and how far the recovered state is ahead of the newest image.
 type Resume struct {
 	Tick   uint64
 	Events uint64
+	// Changes seeds the checkpoint rule's counter: Recovered.Changes, the
+	// structural change recovery replayed on top of the image it loaded. A
+	// crash loses the counter, not what it counted — the next incarnation
+	// replays the same tail — so seeding it keeps the rule a function of the
+	// event stream and the store's contents alone.
+	Changes uint64
 }
 
 func (c Config) queueDepth() int {
@@ -208,6 +218,33 @@ func (c Config) checkpointEvery() uint64 {
 		return uint64(c.CheckpointEvery)
 	}
 	return 32
+}
+
+// checkpointSizeDivisor is the checkpoint rule: at an opportunity an image is
+// written once the structural change applied since the last image — the sum
+// of deltaSize over those ticks — has reached the structure's own size,
+// nodes + edges of the healed graph, divided by this. Theorem 5 makes a
+// repair, and so the replay of one logged event, cost what its wound costs,
+// while an image costs n + m to write and to load: the bytes written per
+// change and the replay tail per image byte are then both O(1) at every n,
+// and a restart never replays more change than the image it loaded holds
+// (plus one opportunity's spacing). A larger divisor shortens the tail and
+// writes proportionally more.
+const checkpointSizeDivisor = 1
+
+// deltaSize is the structural change of one tick as the checkpoint rule
+// counts it.
+func deltaSize(d core.TickDelta) uint64 {
+	return uint64(len(d.NodesAdded) + len(d.NodesRemoved) +
+		len(d.EdgesAdded) + len(d.EdgesRemoved) + len(d.BaselineEdges))
+}
+
+// structureSize is what the accumulated change is measured against: the
+// healed graph's nodes + edges (the tracker's Nodes + Edges, read from the
+// engine because its owner is the caller).
+func structureSize(eng Engine) uint64 {
+	g := eng.Graph()
+	return uint64(g.NumNodes() + g.NumEdges())
 }
 
 func (c Config) refreshEvery() uint64 {
@@ -284,6 +321,14 @@ type Server struct {
 	counters     Counters
 	logErr       error
 	liveAuditErr error
+	// changes is the structural change applied since the newest image (see
+	// checkpointSizeDivisor); replies are the tick's verdicts, held back
+	// until the tick's counters are published.
+	changes uint64
+	replies []reply
+
+	// pub is the loop's state as readers see it; see published.
+	pub atomic.Pointer[published]
 
 	// live is the incremental metrics layer (tracker + λ₂ cache + stretch
 	// sampler) every health poll and topology gauge reads.
@@ -298,7 +343,10 @@ type Server struct {
 	// being applied and acknowledged non-durably. failLog sets both.
 	degraded atomic.Bool
 
+	// backlogged and notDurable count refusals made outside the loop (and,
+	// for notDurable, inside it too); readers fold them into Counters.
 	backlogged atomic.Uint64
+	notDurable atomic.Uint64
 	carried    atomic.Int64 // mirrors len(carry) for QueueDepth readers
 	start      time.Time
 
@@ -317,6 +365,44 @@ type submission struct {
 	defers int
 }
 
+// reply is one verdict of the tick in progress.
+type reply struct {
+	sub *submission
+	err error
+}
+
+// published is the loop's state as everyone else sees it: an immutable copy
+// the loop swaps in before the first ack of every tick, after a checkpoint,
+// and when the event log fails. Health, Counters, liveAuditError and every
+// /metrics closure read it and never take s.mu, so a poll never queues
+// behind a tick, a checkpoint or the refresher's graph copy. What a reader
+// sees may lag the loop by the tick in progress, never by an acknowledged
+// one: a client holding an ack reads counters that include it.
+type published struct {
+	counters     Counters
+	logErr       error
+	liveAuditErr error
+	// changes is Server.changes; due is the size it has to reach for the
+	// next opportunity to take an image.
+	changes, due uint64
+}
+
+// publish swaps in a fresh copy of the loop's state. Caller holds s.mu (or
+// is New, before the loop starts).
+func (s *Server) publish() {
+	s.pub.Store(&published{
+		counters:     s.counters,
+		logErr:       s.logErr,
+		liveAuditErr: s.liveAuditErr,
+		changes:      s.changes,
+		due:          s.imageDueAt(),
+	})
+}
+
+// imageDueAt is the accumulated change at which a checkpoint opportunity
+// takes an image. Caller owns the engine.
+func (s *Server) imageDueAt() uint64 { return structureSize(s.eng) / checkpointSizeDivisor }
+
 // New starts the daemon over eng. The engine must not be touched by anyone
 // else until Close returns (the server owns it, including reads).
 func New(eng Engine, cfg Config) *Server {
@@ -333,11 +419,20 @@ func New(eng Engine, cfg Config) *Server {
 	// and log-segment anchors stay monotone across restarts.
 	s.counters.Ticks = cfg.Resume.Tick
 	s.counters.EventsApplied = cfg.Resume.Events
+	s.changes = cfg.Resume.Changes
+	if cfg.Resume == (Resume{}) {
+		// A run that starts from nothing has no image, and everything it
+		// holds is ahead of that: the counter starts at the structure's own
+		// size, so the first opportunity takes the first image (whatever the
+		// structure has grown by since was counted as change).
+		s.changes = structureSize(eng)
+	}
 	if cfg.Recorder != nil {
 		eng.SetRecorder(cfg.Recorder)
 	}
 	s.live = s.newLiveState()
 	s.buildRegistry()
+	s.publish()
 	go s.loop()
 	go s.refresher()
 	// Seed the caches (connectivity is already exact; λ₂ and stretch become
@@ -391,11 +486,8 @@ func (s *Server) submitMany(subs []*submission) (int, error) {
 		return 0, ErrClosed
 	}
 	if s.degraded.Load() {
-		s.mu.Lock()
-		s.counters.EventsNotDurable += uint64(len(subs))
-		err := s.logErr
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: %v", ErrNotDurable, err)
+		s.notDurable.Add(uint64(len(subs)))
+		return 0, fmt.Errorf("%w: %v", ErrNotDurable, s.pub.Load().logErr)
 	}
 	accepted := s.intake.enqueue(subs)
 	if rest := len(subs) - accepted; rest > 0 {
@@ -479,8 +571,9 @@ func (s *Server) drain() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Final checkpoint: a clean shutdown restarts from here with an empty
-	// log tail.
+	defer s.publish()
+	// Final checkpoint, whatever the rule says: a clean shutdown restarts
+	// from here with an empty log tail.
 	s.checkpointLocked()
 	if s.cfg.Log != nil {
 		// A failed final close means the log tail may not have reached
@@ -550,8 +643,11 @@ func (s *Server) admit(bs *batchState, sub *submission) (bool, error) {
 	return true, nil
 }
 
-// apply admits pending submissions in arrival order, applies the resulting
-// batch, logs it, and answers every submission.
+// apply runs one tick under s.mu: the tick itself, then — in this order —
+// the publication of its counters, its verdicts, and the checkpoint when the
+// tick is an opportunity and an image is due. Publish-before-ack is what
+// lets Health and Counters stay off the lock: whoever holds a verdict reads
+// counters that already include it.
 func (s *Server) apply(pending []*submission) {
 	if len(pending) == 0 {
 		return
@@ -559,13 +655,39 @@ func (s *Server) apply(pending []*submission) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	opportunity := s.tick(pending)
+	s.publish()
+	for i, r := range s.replies {
+		r.sub.done <- r.err
+		s.replies[i] = reply{}
+	}
+	s.replies = s.replies[:0]
+
+	if opportunity && s.changes >= s.imageDueAt() {
+		s.checkpointLocked()
+		s.publish()
+	}
+}
+
+// answer records sub's verdict; apply delivers it once the tick's counters
+// are published.
+func (s *Server) answer(sub *submission, err error) {
+	s.replies = append(s.replies, reply{sub, err})
+}
+
+// tick admits pending submissions in arrival order, applies the resulting
+// batch and logs it, recording a verdict for every submission it does not
+// carry over. It reports whether the tick is a checkpoint opportunity: a
+// batch was applied, there is a store, and the tick count landed on the
+// grid. Caller holds s.mu.
+func (s *Server) tick(pending []*submission) (opportunity bool) {
 	// A failed event log means nothing further can be made durable: refuse
 	// the whole tick instead of applying and acknowledging events that would
 	// vanish on the next crash. (Submissions racing the failure can still
 	// reach here after the degraded fast-fail in submitAsync.)
 	if s.logErr != nil && s.cfg.Log != nil {
 		s.failNotDurable(pending)
-		return
+		return false
 	}
 
 	bs := &batchState{}
@@ -577,13 +699,13 @@ func (s *Server) apply(pending []*submission) {
 			bs.members = append(bs.members, sub)
 		case rejection != nil:
 			s.counters.EventsRejected++
-			sub.done <- rejection
+			s.answer(sub, rejection)
 		default:
 			sub.defers++
 			if sub.defers > s.cfg.maxDefer() {
 				s.counters.EventsRejected++
-				sub.done <- fmt.Errorf("%s %d after %d deferrals: %w",
-					sub.ev.Kind, sub.ev.Node, sub.defers-1, ErrTooManyConflicts)
+				s.answer(sub, fmt.Errorf("%s %d after %d deferrals: %w",
+					sub.ev.Kind, sub.ev.Node, sub.defers-1, ErrTooManyConflicts))
 				continue
 			}
 			s.counters.EventsDeferred++
@@ -592,7 +714,7 @@ func (s *Server) apply(pending []*submission) {
 		}
 	}
 	if len(bs.members) == 0 {
-		return
+		return false
 	}
 
 	// Spans emitted during this batch carry the tick they will be counted
@@ -606,9 +728,9 @@ func (s *Server) apply(pending []*submission) {
 		// (ApplyBatch rejects wholesale) and tell every member why.
 		for _, sub := range bs.members {
 			s.counters.EventsRejected++
-			sub.done <- fmt.Errorf("batch rejected: %w", err)
+			s.answer(sub, fmt.Errorf("batch rejected: %w", err))
 		}
-		return
+		return false
 	}
 
 	// Log-before-ack: the batch becomes durable (appended and, when the log
@@ -620,12 +742,13 @@ func (s *Server) apply(pending []*submission) {
 		if err := s.logBatch(bs.batch); err != nil {
 			s.failLog(err)
 			s.failNotDurable(bs.members)
-			return
+			return false
 		}
 	}
 
 	s.live.tracker.Apply(delta)
 	s.live.stretch.Observe(delta)
+	s.changes += deltaSize(delta)
 	s.counters.Ticks++
 	if s.cfg.AuditEvery > 0 && s.counters.Ticks%uint64(s.cfg.AuditEvery) == 0 {
 		s.auditLive()
@@ -650,12 +773,9 @@ func (s *Server) apply(pending []*submission) {
 			s.counters.DeletesApplied++
 		}
 		s.counters.WaitSeconds += now.Sub(sub.at).Seconds()
-		sub.done <- nil
+		s.answer(sub, nil)
 	}
-
-	if s.counters.Ticks%s.cfg.checkpointEvery() == 0 {
-		s.checkpointLocked()
-	}
+	return s.cfg.Checkpoints != nil && s.counters.Ticks%s.cfg.checkpointEvery() == 0
 }
 
 // logBatch makes one applied batch durable: every event is appended to the
@@ -681,29 +801,33 @@ func (s *Server) logBatch(b core.Batch) error {
 }
 
 // failLog records an event-log failure (the first one sticks) and flips the
-// daemon into the refuse-writes degraded state. Caller holds s.mu.
+// daemon into the refuse-writes degraded state — after publishing the
+// failure, so whoever sees degraded finds the reason. Caller holds s.mu.
 func (s *Server) failLog(err error) {
 	if s.logErr == nil {
 		s.logErr = err
 	}
+	s.publish()
 	s.degraded.Store(true)
 }
 
-// failNotDurable answers every submission with ErrNotDurable (wrapping the
-// recorded log failure). Caller holds s.mu with s.logErr set.
+// failNotDurable records an ErrNotDurable verdict (wrapping the recorded log
+// failure) for every submission. Caller holds s.mu with s.logErr set.
 func (s *Server) failNotDurable(subs []*submission) {
+	s.notDurable.Add(uint64(len(subs)))
 	for _, sub := range subs {
-		s.counters.EventsNotDurable++
-		sub.done <- fmt.Errorf("%w: %v", ErrNotDurable, s.logErr)
+		s.answer(sub, fmt.Errorf("%w: %v", ErrNotDurable, s.logErr))
 	}
 }
 
-// Counters returns a snapshot of the serving-work counters.
-func (s *Server) Counters() Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.counters
+// Counters returns a snapshot of the serving-work counters: the loop's, as
+// of the last tick it published, plus the refusals counted outside it.
+func (s *Server) Counters() Counters { return s.countersOf(s.pub.Load()) }
+
+func (s *Server) countersOf(p *published) Counters {
+	c := p.counters
 	c.EventsBacklogged = s.backlogged.Load()
+	c.EventsNotDurable = s.notDurable.Load()
 	return c
 }
 
@@ -757,6 +881,14 @@ type DurabilityHealth struct {
 	// ResumeTick / ResumeEvents are the watermarks serving resumed from.
 	ResumeTick   uint64 `json:"resume_tick,omitempty"`
 	ResumeEvents uint64 `json:"resume_events,omitempty"`
+	// ChangesSinceCheckpoint is the structural change (nodes and edges
+	// added or removed) applied since the newest image — what a restart
+	// would replay on top of it; the whole structure while there is no image
+	// yet. CheckpointDueAtChanges is the size it must reach for the next
+	// checkpoint opportunity to take an image: nodes + edges of the healed
+	// graph.
+	ChangesSinceCheckpoint uint64 `json:"changes_since_checkpoint"`
+	CheckpointDueAtChanges uint64 `json:"checkpoint_due_at_changes"`
 }
 
 // ObsHealth is the observability slice of a health snapshot: latency
@@ -774,17 +906,17 @@ type ObsHealth struct {
 }
 
 // Health snapshots the daemon's health. The engine facts come from the
-// incremental tracker and the λ₂/stretch caches — no graph clone, no
-// traversal, no measurement under or behind the apply lock; the lock is held
-// only to copy the counters.
+// incremental tracker and the λ₂/stretch caches, the counters from the
+// loop's published copy — no graph clone, no traversal, no measurement under
+// or behind the apply lock, and the lock itself is never taken. The counters
+// may lag the loop by the tick in progress (never by an acknowledged one);
+// the tracker is fed inside the tick, before the counters are published, so
+// its facts are of the counters' tick or the one after.
 func (s *Server) Health() Health {
-	s.mu.Lock()
-	c := s.counters
-	logErr := s.logErr
-	s.mu.Unlock()
-	c.EventsBacklogged = s.backlogged.Load()
+	p := s.pub.Load()
+	c := s.countersOf(p)
 
-	h := s.liveHealth(c, logErr)
+	h := s.liveHealth(c, p.logErr)
 	h.UptimeSeconds = time.Since(s.start).Seconds()
 
 	h.Obs = ObsHealth{TickLatency: s.tickHist.Snapshot().Summary()}
@@ -802,9 +934,12 @@ func (s *Server) Health() Health {
 			CheckpointErrors:     c.CheckpointErrors,
 			LastCheckpointTick:   c.LastCheckpointTick,
 			LastCheckpointEvents: c.LastCheckpointEvents,
-			Resumed:              s.cfg.Resume != (Resume{}),
+			Resumed:              s.cfg.Resume.Tick != 0 || s.cfg.Resume.Events != 0,
 			ResumeTick:           s.cfg.Resume.Tick,
 			ResumeEvents:         s.cfg.Resume.Events,
+
+			ChangesSinceCheckpoint: p.changes,
+			CheckpointDueAtChanges: p.due,
 		}
 	}
 	return h

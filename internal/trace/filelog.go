@@ -15,10 +15,16 @@ import (
 // This file is the durable, segmented form of the event log. A FileLog owns a
 // directory of segment files named events-<base>.log, where <base> is the
 // number of events in the run before the segment's first event. Each segment
-// is an anchored JSONL log (header via NewLogWriterAt, one event per line).
+// is an anchored JSONL log (header via NewLogWriterAt, one event per line);
+// only the base-0 segment's header carries the genesis graph.
 // The server rotates to a fresh segment right after each checkpoint, so
 // compaction is simply: delete (or archive) every segment fully covered by
 // the latest checkpoint. Recovery replays only the surviving tail.
+//
+// Durability of names: a file's fsync makes its bytes durable, not its
+// directory entry. Every step that creates or moves a segment therefore also
+// fsyncs the directories it touched (syncDir), or a power loss could leave
+// acknowledged events in a segment no directory lists.
 
 // ArchiveDir is the subdirectory compacted segments move to when retained.
 const ArchiveDir = "archive"
@@ -37,7 +43,6 @@ var ErrLogGap = fmt.Errorf("trace: gap in log segments")
 // tick loop.
 type FileLog struct {
 	dir    string
-	g0     *graph.Graph
 	f      *os.File
 	lw     *LogWriter
 	base   uint64 // events in the run before the current segment
@@ -45,33 +50,58 @@ type FileLog struct {
 }
 
 // OpenFileLog opens (creating if needed) a log directory and starts a fresh
-// segment anchored after baseEvents events. A fresh segment is always started
-// — never appended to an existing file — so a torn tail left by a crash is
-// sealed in its old segment and tolerated once at load, not compounded. An
-// existing segment at the same base is overwritten: it can only exist if the
-// previous incarnation logged no surviving events past the base, so its
-// content is already covered.
+// segment anchored after baseEvents events; g0, the genesis graph, is written
+// into the header of a base-0 segment and not retained. A fresh segment is
+// always started — never appended to an existing file — so a torn tail left
+// by a crash is sealed in its old segment and tolerated once at load, not
+// compounded. An existing segment at the same base is overwritten: it can
+// only exist if the previous incarnation logged no surviving events past the
+// base, so its content is already covered.
 func OpenFileLog(dir string, g0 *graph.Graph, baseTick, baseEvents uint64, checkpoint string) (*FileLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	name := filepath.Join(dir, fmt.Sprintf("%s%016d%s", segPrefix, baseEvents, segSuffix))
-	f, err := os.OpenFile(name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, lw, err := createSegment(dir, g0, baseTick, baseEvents, checkpoint)
 	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	lw, err := NewLogWriterAt(f, g0, baseTick, baseEvents, checkpoint)
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	// Sync the header so a power loss before the first batch leaves a
-	// loadable (empty) segment, not a torn or missing one.
+	return &FileLog{dir: dir, f: f, lw: lw, base: baseEvents}, nil
+}
+
+// createSegment creates (truncating) the segment file for base, writes its
+// header and makes both durable: the file's bytes, so a power loss before
+// the first batch leaves a loadable (empty) segment rather than a torn one,
+// and the directory entry, so the batches fsynced into it later are
+// reachable.
+func createSegment(dir string, g0 *graph.Graph, tick, base uint64, checkpoint string) (*os.File, *LogWriter, error) {
+	name := filepath.Join(dir, fmt.Sprintf("%s%016d%s", segPrefix, base, segSuffix))
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace: %w", err)
+	}
+	lw, err := NewLogWriterAt(f, g0, tick, base, checkpoint)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("trace: sync header: %w", err)
+		return nil, nil, fmt.Errorf("trace: sync header: %w", err)
 	}
-	return &FileLog{dir: dir, g0: g0.Clone(), f: f, lw: lw, base: baseEvents}, nil
+	syncDir(dir)
+	return f, lw, nil
+}
+
+// syncDir fsyncs a directory so entries created in, renamed into or removed
+// from it survive power loss. Best-effort: some filesystems reject directory
+// fsync. A variable so tests can record which directories were synced.
+var syncDir = func(dir string) {
+	d, err := os.Open(dir)
+	if err != nil {
+		return
+	}
+	_ = d.Sync()
+	_ = d.Close()
 }
 
 // Dir returns the log directory.
@@ -101,25 +131,20 @@ func (fl *FileLog) Sync() error {
 
 // Rotate seals the current segment and starts a fresh one anchored at the
 // current position, recording the checkpoint that covers everything before
-// it. Called by the server right after each successful checkpoint.
+// it. Called by the server right after each successful checkpoint. A log
+// still at event 0 keeps its segment: that one holds the genesis header,
+// which only OpenFileLog's caller can supply, and it is empty already.
 func (fl *FileLog) Rotate(tick uint64, checkpoint string) error {
+	base := fl.base + fl.events
+	if base == 0 {
+		return nil
+	}
 	if err := fl.f.Close(); err != nil {
 		return fmt.Errorf("trace: rotate close: %w", err)
 	}
-	base := fl.base + fl.events
-	name := filepath.Join(fl.dir, fmt.Sprintf("%s%016d%s", segPrefix, base, segSuffix))
-	f, err := os.OpenFile(name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, lw, err := createSegment(fl.dir, nil, tick, base, checkpoint)
 	if err != nil {
 		return fmt.Errorf("trace: rotate: %w", err)
-	}
-	lw, err := NewLogWriterAt(f, fl.g0, tick, base, checkpoint)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("trace: sync header: %w", err)
 	}
 	fl.f, fl.lw, fl.base, fl.events = f, lw, base, 0
 	return nil
@@ -142,6 +167,18 @@ func (fl *FileLog) Compact(beforeEvents uint64, archive bool) error {
 			return fmt.Errorf("trace: %w", err)
 		}
 	}
+	moved := false
+	// Whatever moved before an error is synced too: the archive entry first,
+	// so power loss cannot leave a segment in neither directory.
+	defer func() {
+		if !moved {
+			return
+		}
+		if archive {
+			syncDir(archiveDir)
+		}
+		syncDir(fl.dir)
+	}()
 	for i := 0; i+1 < len(bases); i++ {
 		if bases[i+1] > beforeEvents || bases[i] >= fl.base {
 			continue
@@ -154,6 +191,7 @@ func (fl *FileLog) Compact(beforeEvents uint64, archive bool) error {
 		} else if err := os.Remove(src); err != nil {
 			return fmt.Errorf("trace: drop segment: %w", err)
 		}
+		moved = true
 	}
 	return nil
 }

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/xheal/xheal/internal/adversary"
@@ -228,5 +230,151 @@ func TestFileLogTornSegmentTail(t *testing.T) {
 	if tr2.BaseEvents != 0 || len(tr2.Events) != 3 || !tr2.TornTail {
 		t.Fatalf("restart splice base=%d events=%d torn=%v, want 0/3/true",
 			tr2.BaseEvents, len(tr2.Events), tr2.TornTail)
+	}
+}
+
+// recordDirSyncs swaps the directory-fsync seam for one that records which
+// directories were synced, for the length of the test.
+func recordDirSyncs(t *testing.T) *[]string {
+	t.Helper()
+	var synced []string
+	real := syncDir
+	syncDir = func(dir string) {
+		synced = append(synced, dir)
+		real(dir)
+	}
+	t.Cleanup(func() { syncDir = real })
+	return &synced
+}
+
+// A segment's fsync covers its bytes, not its name: creating one must also
+// sync the log directory, or the batches acknowledged into it could sit in a
+// file no directory lists after a power loss.
+func TestOpenFileLogSyncsDirectory(t *testing.T) {
+	synced := recordDirSyncs(t)
+	dir := t.TempDir()
+	fl, err := OpenFileLog(dir, filelogFixture(t), 0, 0, "")
+	if err != nil {
+		t.Fatalf("OpenFileLog: %v", err)
+	}
+	defer fl.Close()
+	if len(*synced) != 1 || (*synced)[0] != dir {
+		t.Fatalf("OpenFileLog synced %v, want [%s]", *synced, dir)
+	}
+}
+
+func TestRotateSyncsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	fl, err := OpenFileLog(dir, filelogFixture(t), 0, 0, "")
+	if err != nil {
+		t.Fatalf("OpenFileLog: %v", err)
+	}
+	defer fl.Close()
+	if err := fl.Append(insertEvent(100, 1)); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	synced := recordDirSyncs(t)
+	if err := fl.Rotate(1, "ckpt"); err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+	if len(*synced) != 1 || (*synced)[0] != dir {
+		t.Fatalf("Rotate synced %v, want [%s]", *synced, dir)
+	}
+}
+
+// Compact renames (or unlinks): both directories it touched are synced, the
+// archive first so no crash point leaves a segment in neither, and a
+// compaction that moves nothing syncs nothing.
+func TestCompactSyncsDirectories(t *testing.T) {
+	for _, archive := range []bool{false, true} {
+		dir := t.TempDir()
+		fl, err := OpenFileLog(dir, filelogFixture(t), 0, 0, "")
+		if err != nil {
+			t.Fatalf("OpenFileLog: %v", err)
+		}
+		for seg := 0; seg < 2; seg++ {
+			if err := fl.Append(insertEvent(graph.NodeID(100+seg), 1)); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+			if err := fl.Rotate(uint64(seg+1), "ckpt"); err != nil {
+				t.Fatalf("rotate: %v", err)
+			}
+		}
+		synced := recordDirSyncs(t)
+		if err := fl.Compact(0, archive); err != nil {
+			t.Fatalf("compact nothing: %v", err)
+		}
+		if len(*synced) != 0 {
+			t.Fatalf("archive=%v: a compaction that moved nothing synced %v", archive, *synced)
+		}
+		if err := fl.Compact(2, archive); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+		want := []string{dir}
+		if archive {
+			want = []string{filepath.Join(dir, ArchiveDir), dir}
+		}
+		if !slices.Equal(*synced, want) {
+			t.Fatalf("archive=%v: Compact synced %v, want %v", archive, *synced, want)
+		}
+		fl.Close()
+	}
+}
+
+// Only the segment that starts the run carries the genesis graph: a segment
+// opened or rotated at base > 0 holds its anchors alone, however large the
+// genesis, and a rotate at event 0 keeps the genesis segment it has.
+func TestAnchoredSegmentHeaderOmitsGenesis(t *testing.T) {
+	dir := t.TempDir()
+	g0 := graph.New()
+	for i := graph.NodeID(0); i < 2000; i++ {
+		g0.EnsureEdge(i, i+1)
+	}
+	fl, err := OpenFileLog(dir, g0, 0, 0, "")
+	if err != nil {
+		t.Fatalf("OpenFileLog: %v", err)
+	}
+	if err := fl.Rotate(0, "ckpt-at-zero"); err != nil {
+		t.Fatalf("rotate at event 0: %v", err)
+	}
+	if err := fl.Append(insertEvent(5000, 1)); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := fl.Rotate(1, "ckpt"); err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+	if err := fl.Append(insertEvent(5001, 1)); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := fl.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	genesisSeg, err := os.Stat(filepath.Join(dir, "events-0000000000000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchored, err := os.ReadFile(filepath.Join(dir, "events-0000000000000001.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(anchored) > 300 || genesisSeg.Size() < 10_000 {
+		t.Fatalf("anchored segment is %d bytes, genesis segment %d: the anchored header should hold anchors only",
+			len(anchored), genesisSeg.Size())
+	}
+	seg, err := Load(bytes.NewReader(anchored))
+	if err != nil {
+		t.Fatalf("load anchored segment: %v", err)
+	}
+	if seg.BaseEvents != 1 || seg.BaseTick != 1 || seg.Checkpoint != "ckpt" || len(seg.Nodes)+len(seg.Edges) != 0 || len(seg.Events) != 1 {
+		t.Fatalf("anchored segment: base=%d tick=%d ckpt=%q nodes=%d edges=%d events=%d",
+			seg.BaseEvents, seg.BaseTick, seg.Checkpoint, len(seg.Nodes), len(seg.Edges), len(seg.Events))
+	}
+	full, err := LoadLogDir(dir)
+	if err != nil {
+		t.Fatalf("LoadLogDir: %v", err)
+	}
+	if len(full.Events) != 2 || !full.Initial().Equal(g0) {
+		t.Fatalf("spliced log: %d events, genesis intact: %v", len(full.Events), full.Initial().Equal(g0))
 	}
 }

@@ -45,18 +45,23 @@ func NewLogWriter(w io.Writer, g0 *graph.Graph) (*LogWriter, error) {
 }
 
 // NewLogWriterAt starts an event log segment anchored after baseEvents events
-// (at tick baseTick), recording which checkpoint the segment follows. The
-// header still carries the genesis graph; a zero anchor produces the same
-// header as NewLogWriter.
+// (at tick baseTick), recording which checkpoint the segment follows. Only a
+// segment that starts the run (baseEvents == 0) carries the genesis graph —
+// with a zero anchor the header is NewLogWriter's. A later segment's header
+// holds its anchors alone (g0 is not read and may be nil): nothing replays
+// from an anchored segment's header — recovery restores the checkpoint first,
+// and a from-genesis replay reads the base-0 segment — so repeating an
+// O(n + m) graph at every rotation bought nothing.
 func NewLogWriterAt(w io.Writer, g0 *graph.Graph, baseTick, baseEvents uint64, checkpoint string) (*LogWriter, error) {
 	lw := &LogWriter{w: w, enc: json.NewEncoder(w)}
 	header := Trace{
 		Version:    FormatVersion,
-		Nodes:      g0.Nodes(),
-		Edges:      g0.Edges(),
 		BaseTick:   baseTick,
 		BaseEvents: baseEvents,
 		Checkpoint: checkpoint,
+	}
+	if baseEvents == 0 {
+		header.Nodes, header.Edges = g0.Nodes(), g0.Edges()
 	}
 	if err := lw.enc.Encode(&header); err != nil {
 		return nil, fmt.Errorf("trace: log header: %w", err)

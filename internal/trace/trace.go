@@ -41,8 +41,9 @@ type Trace struct {
 
 	// BaseTick and BaseEvents anchor a log segment written after a
 	// checkpoint: the segment's events start BaseEvents events into the run,
-	// not at genesis (Nodes/Edges still describe the genesis graph).
-	// Replaying such a segment from its header alone is wrong — recovery
+	// not at genesis, and its header carries no graph (Nodes/Edges are null;
+	// segments from older daemons repeat the genesis graph there, and load
+	// the same). Such a segment cannot be replayed on its own — recovery
 	// must first restore the checkpoint named by Checkpoint.
 	BaseTick   uint64 `json:"base_tick,omitempty"`
 	BaseEvents uint64 `json:"base_events,omitempty"`
