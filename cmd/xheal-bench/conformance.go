@@ -1,14 +1,11 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	"github.com/xheal/xheal/internal/conformance"
-	"github.com/xheal/xheal/internal/harness"
-	"github.com/xheal/xheal/internal/obs"
 	"github.com/xheal/xheal/internal/trace"
 )
 
@@ -47,94 +44,5 @@ func replayConformance(stdout, stderr io.Writer, path string, seed int64, kappa 
 	}
 	fmt.Fprintf(stdout, "conformance: ok (%d events, %d deletions, %d rounds, %d messages)\n",
 		len(res.Events), res.Deletions, res.Totals.Rounds, res.Totals.Messages)
-	return 0
-}
-
-// runConformance is the CI soak mode: every adversary × workload cell runs
-// the lockstep centralized-vs-distributed simulation with the full per-event
-// check battery. Cells run on the shared bounded worker pool; output is
-// rendered in cell order, so stdout is byte-reproducible for a fixed seed.
-// A failing cell is shrunk to a minimal schedule and saved as a replayable
-// trace artifact before being reported.
-func runConformance(stdout, stderr io.Writer, n, steps int, seed int64, kappa int) int {
-	cells := conformance.MatrixCells(n, steps, seed)
-	type outcome struct {
-		res  *conformance.Result
-		line string // failure report, empty on success
-	}
-	results := make([]outcome, len(cells))
-	// One recorder + histogram per cell (cells run concurrently); the
-	// snapshots merge into a soak-wide repair-latency aggregate afterwards.
-	// Timing goes to stderr only — stdout stays byte-reproducible.
-	hists := make([]*obs.Histogram, len(cells))
-	recs := make([]*obs.Recorder, len(cells))
-	for i := range cells {
-		hists[i] = obs.MustHistogram(obs.LatencyBuckets())
-		recs[i] = obs.NewRecorder(nil, hists[i])
-	}
-	_ = harness.ForEachIndex(len(cells), func(i int) error {
-		c := cells[i]
-		opts := conformance.Options{Kappa: kappa, Seed: c.Seed, MetricsEvery: 10, Recorder: recs[i]}
-		g0, res, err := conformance.RunCell(c, opts)
-		if err == nil {
-			results[i] = outcome{res: res}
-			return nil
-		}
-		var fail *conformance.Failure
-		if !errors.As(err, &fail) {
-			results[i] = outcome{line: fmt.Sprintf("%s: setup: %v", c, err)}
-			return nil
-		}
-		minimal, minFail := conformance.Shrink(g0, res.Events, opts)
-		report := fmt.Sprintf("%s: %v", c, fail)
-		if f, err := os.CreateTemp("", "xheal-conformance-*.json"); err == nil {
-			path := f.Name()
-			f.Close()
-			if err := conformance.WriteArtifact(path, g0, minimal); err == nil {
-				if minFail == nil {
-					// Sanitized replay masks the failure; the full schedule
-					// is saved and the strict lockstep repro still trips it.
-					report += fmt.Sprintf("\n  not reproducible under sanitized shrinking; full %d-event schedule saved\n  repro: %s",
-						len(minimal), conformance.ReproCommand(path, opts))
-				} else {
-					report += fmt.Sprintf("\n  shrunk to %d events: %v\n  repro: %s",
-						len(minimal), minFail, conformance.ReproCommand(path, opts))
-				}
-			}
-		}
-		results[i] = outcome{line: report}
-		return nil
-	})
-
-	failures := 0
-	for i, c := range cells {
-		if line := results[i].line; line != "" {
-			failures++
-			fmt.Fprintln(stderr, line)
-			fmt.Fprintf(stdout, "FAIL %s\n", c)
-			continue
-		}
-		res := results[i].res
-		fmt.Fprintf(stdout, "ok   %-40s events=%-3d dels=%-3d rounds=%-4d msgs=%-6d maxrounds=%d\n",
-			c, len(res.Events), res.Deletions, res.Totals.Rounds, res.Totals.Messages, res.MaxRounds)
-	}
-	fmt.Fprintf(stdout, "conformance: %d/%d cells ok (n=%d, %d events/cell, κ=%d, seed=%d)\n",
-		len(cells)-failures, len(cells), n, steps, kappa, seed)
-
-	var agg obs.HistSnapshot
-	var rounds, msgs uint64
-	for i := range cells {
-		agg.Merge(hists[i].Snapshot())
-		r, m := recs[i].Ledger()
-		rounds += r
-		msgs += m
-	}
-	if sum := agg.Summary(); sum.Count > 0 {
-		fmt.Fprintf(stderr, "soak repair latency p50/p95/p99 = %.3f/%.3f/%.3f ms over %d repairs (%d rounds, %d messages)\n",
-			sum.P50MS, sum.P95MS, sum.P99MS, sum.Count, rounds, msgs)
-	}
-	if failures > 0 {
-		return 1
-	}
 	return 0
 }

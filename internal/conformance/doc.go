@@ -16,8 +16,8 @@
 //     stretch envelope, the 3κ degree-ratio envelope, and positive λ₂.
 //
 // Run is the per-event lockstep runner; MatrixCells/RunCell enumerate the
-// full adversary × workload cross-product the matrix test and the
-// `xheal-bench -conformance` soak mode sweep.
+// full adversary × workload cross-product that TestConformanceMatrix
+// sweeps.
 //
 // RunBatched is the same lockstep discipline for batched timesteps — the
 // serving daemon's native unit (internal/server coalesces concurrent

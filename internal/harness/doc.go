@@ -13,6 +13,7 @@
 // bounded worker pool (ForEachIndex, GOMAXPROCS workers) with results
 // assembled in index order, so `xheal-bench -all > EXPERIMENTS.md` produces
 // identical bytes no matter how many workers run; every row builds its own
-// rand sources from the experiment seed. Timing lines go to stderr, the
-// one non-deterministic output.
+// rand sources from the experiment seed. xheal-bench's timing lines go to
+// stderr, the one non-deterministic output; the root bench_test.go's
+// BenchmarkE* functions time one experiment each under `go test -bench`.
 package harness

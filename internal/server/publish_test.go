@@ -19,7 +19,7 @@ import (
 
 // Health, Counters and both HTTP read endpoints answer from the published
 // copy: with the apply lock held for 200 ms — a checkpoint, the refresher's
-// graph copy — each still answers in under 5 ms (ROADMAP 1(a)'s acceptance).
+// graph copy — each still answers in under 5 ms.
 // Each read gets three tries so one scheduling hiccup is not a verdict; a
 // read that waited for the lock would fail all three.
 func TestReadsDoNotWaitForApplyLock(t *testing.T) {

@@ -13,6 +13,7 @@
 // generators retry a bounded number of times and fail with ErrGaveUp
 // rather than hand the harness a disconnected starting point. ByName maps
 // registry names (Names) to generators with sensible default shape
-// parameters, which is what the CLIs (xheal-sim, xheal-serve,
-// xheal-bench) and the conformance matrix build cells from.
+// parameters, which is what xheal-sim, xheal-serve, the experiment harness,
+// the scenarios, the repository benchmark and the conformance matrix build
+// their genesis graphs from.
 package workload
