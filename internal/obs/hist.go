@@ -122,25 +122,6 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// Merge folds another snapshot with the identical bucket layout into s.
-// Layout mismatches are a programming error and panic.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	if len(s.Counts) == 0 {
-		s.Bounds = o.Bounds
-		s.Counts = append([]uint64(nil), o.Counts...)
-		s.Sum, s.Count = o.Sum, o.Count
-		return
-	}
-	if len(o.Counts) != len(s.Counts) {
-		panic("obs: merging histogram snapshots with different bucket layouts")
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
-}
-
 // ExpBuckets returns n strictly increasing upper bounds starting at start
 // and growing by factor — the standard exponential latency/size layout.
 func ExpBuckets(start, factor float64, n int) []float64 {

@@ -82,35 +82,6 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := MustHistogram([]float64{1, 2})
-	b := MustHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	b.Observe(1.5)
-	b.Observe(9)
-
-	var acc HistSnapshot
-	acc.Merge(a.Snapshot()) // empty target adopts the layout
-	acc.Merge(b.Snapshot())
-	if acc.Count != 3 {
-		t.Fatalf("merged count: got %d, want 3", acc.Count)
-	}
-	if want := []uint64{1, 1, 1}; acc.Counts[0] != want[0] || acc.Counts[1] != want[1] || acc.Counts[2] != want[2] {
-		t.Fatalf("merged counts: got %v", acc.Counts)
-	}
-	if math.Abs(acc.Sum-11) > 1e-9 {
-		t.Fatalf("merged sum: got %g, want 11", acc.Sum)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("layout mismatch did not panic")
-		}
-	}()
-	mismatch := MustHistogram([]float64{1, 2, 3}).Snapshot()
-	acc.Merge(mismatch)
-}
-
 func TestExpBuckets(t *testing.T) {
 	got := ExpBuckets(1, 2, 4)
 	want := []float64{1, 2, 4, 8}
@@ -206,72 +177,27 @@ func TestHistogramEmptySummary(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeEdgeCases covers the snapshot-merge paths the registry
-// relies on when folding per-worker histograms: merge into an empty
-// snapshot adopts the layout, and merging disjoint snapshots is exact.
-func TestHistogramMergeEdgeCases(t *testing.T) {
-	bounds := []float64{1, 2, 4, 8}
-
-	t.Run("into empty", func(t *testing.T) {
-		h := MustHistogram(bounds)
-		h.Observe(3)
-		var acc HistSnapshot
-		acc.Merge(h.Snapshot())
-		if acc.Count != 1 || acc.Sum != 3 {
-			t.Fatalf("merge into empty: count=%d sum=%g", acc.Count, acc.Sum)
-		}
-		if got := acc.Quantile(0.5); math.Abs(got-3) > 1e-9 {
-			t.Fatalf("merged median = %g, want 3", got)
-		}
-		// The adopted counts must be a copy, not an alias of the source.
-		h.Observe(3)
-		if acc.Count != 1 || acc.Counts[2] != 1 {
-			t.Fatalf("merged snapshot aliases its source: %+v", acc)
-		}
-	})
-
-	t.Run("disjoint mass", func(t *testing.T) {
-		lo := MustHistogram(bounds)
-		hi := MustHistogram(bounds)
-		for i := 0; i < 50; i++ {
-			lo.Observe(0.5) // first bucket
-			hi.Observe(7)   // last finite bucket
-		}
-		acc := lo.Snapshot()
-		acc.Merge(hi.Snapshot())
-		if acc.Count != 100 {
-			t.Fatalf("merged count = %d, want 100", acc.Count)
-		}
-		if want := 50*0.5 + 50*7.0; math.Abs(acc.Sum-want) > 1e-9 {
-			t.Fatalf("merged sum = %g, want %g", acc.Sum, want)
-		}
-		// The median rank sits exactly at the boundary between the two
-		// populations; p25 and p75 must land in each half's bucket.
-		if got := acc.Quantile(0.25); got > 1 {
-			t.Fatalf("p25 = %g, want inside (0,1]", got)
-		}
-		if got := acc.Quantile(0.75); got <= 4 || got > 8 {
-			t.Fatalf("p75 = %g, want inside (4,8]", got)
-		}
-	})
-
-	t.Run("empty into populated", func(t *testing.T) {
-		h := MustHistogram(bounds)
-		h.Observe(3)
-		acc := h.Snapshot()
-		acc.Merge(MustHistogram(bounds).Snapshot())
-		if acc.Count != 1 || acc.Sum != 3 {
-			t.Fatalf("merging an empty snapshot changed the state: %+v", acc)
-		}
-	})
-
-	t.Run("layout mismatch panics", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("layout mismatch did not panic")
-			}
-		}()
-		acc := MustHistogram(bounds).Snapshot()
-		acc.Merge(MustHistogram([]float64{1, 2}).Snapshot())
-	})
+// TestHistogramQuantileDisjointMass puts two populations at opposite ends
+// of the layout into one histogram: the median rank sits exactly at the
+// boundary between them, and p25 and p75 must each land in their own
+// population's bucket.
+func TestHistogramQuantileDisjointMass(t *testing.T) {
+	h := MustHistogram([]float64{1, 2, 4, 8})
+	for i := 0; i < 50; i++ {
+		h.Observe(0.5) // first bucket
+		h.Observe(7)   // last finite bucket
+	}
+	snap := h.Snapshot()
+	if snap.Count != 100 {
+		t.Fatalf("count = %d, want 100", snap.Count)
+	}
+	if want := 50*0.5 + 50*7.0; math.Abs(snap.Sum-want) > 1e-9 {
+		t.Fatalf("sum = %g, want %g", snap.Sum, want)
+	}
+	if got := snap.Quantile(0.25); got > 1 {
+		t.Fatalf("p25 = %g, want inside (0,1]", got)
+	}
+	if got := snap.Quantile(0.75); got <= 4 || got > 8 {
+		t.Fatalf("p75 = %g, want inside (4,8]", got)
+	}
 }

@@ -76,3 +76,34 @@ func TestTickAllocsDisabledObservability(t *testing.T) {
 			avg, tickAllocBudget)
 	}
 }
+
+// TestRefreshCopyAllocsNothing pins the refresher's time under s.mu to one
+// pass over each graph into buffers it reuses: once they have grown to the
+// graphs' size, copyForRefresh allocates nothing. A CSR build, a map or a
+// sort creeping back under the lock would allocate and fail here, on any
+// host, where a timing would only drift.
+func TestRefreshCopyAllocsNothing(t *testing.T) {
+	g0, err := workload.RandomRegular(256, 3, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.NewState(core.Config{Kappa: 4, Seed: 2}, g0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(st, Config{})
+	if err := s.Close(); err != nil { // stop the loop and the refresher
+		t.Fatal(err)
+	}
+	// A fresh live layer has no λ₂ and no stretch tree yet, so every call
+	// finds both stale and copies G and G′.
+	s.live = s.newLiveState()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if job := s.copyForRefresh(); !job.lambda2 || !job.stretch {
+		t.Fatalf("fresh live layer: refresh job %+v, want λ₂ and stretch stale", job)
+	}
+	if avg := testing.AllocsPerRun(100, func() { s.copyForRefresh() }); avg != 0 {
+		t.Fatalf("copyForRefresh allocates %.1f/op in the steady state, want 0", avg)
+	}
+}

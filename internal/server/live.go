@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/xheal/xheal/internal/core"
 	"github.com/xheal/xheal/internal/metrics"
@@ -39,6 +40,12 @@ type liveState struct {
 	l2      *live.Lambda2Cache
 	stretch *live.StretchSampler
 	kappa   int // engines never change κ; cached so Health skips the lock
+
+	// adjG and adjGp are the refresher's copies of G and G′, refilled under
+	// s.mu on every refresh that needs them; only the refresher touches
+	// them. The CSRs built from them are fresh each refresh, because the
+	// caches keep their node orderings.
+	adjG, adjGp spectral.AdjacencyCopy
 
 	// refreshC carries at most one pending refresh request to the refresher
 	// goroutine; refreshDone closes when it exits.
@@ -98,8 +105,9 @@ func (l *liveState) requestRefresh() {
 
 // refresher is the goroutine that re-establishes the expensive cached
 // metrics (connectivity, λ₂, sampled stretch) outside the apply lock. It
-// holds s.mu only long enough to snapshot the graph into CSR form; the
-// traversals and the Lanczos run work on the snapshot.
+// holds s.mu only long enough to copy the adjacency it needs into its own
+// buffers; the CSR builds, the traversals and the Lanczos run all work on
+// that copy.
 func (s *Server) refresher() {
 	defer close(s.live.refreshDone)
 	for {
@@ -112,41 +120,65 @@ func (s *Server) refresher() {
 	}
 }
 
-// refreshOnce snapshots under the lock, computes outside it, and publishes
-// into the caches. Skips entirely when nothing is stale: the λ₂ generation
-// matches the graph, no stretch tree is dirty or over-age, and the
-// connectivity verdict is current.
+// refreshJob is what a refresh found stale, as of the graphs copied into
+// liveState.adjG (and adjGp when stretch is set).
+type refreshJob struct {
+	gen, ticks              uint64
+	lambda2, stretch, stale bool
+}
+
+// refreshOnce copies under the lock, then builds and computes outside it,
+// and publishes into the caches. Builds nothing when nothing is stale: the
+// λ₂ generation matches the graph, no stretch tree is dirty or over-age,
+// and the connectivity verdict is current.
 func (s *Server) refreshOnce() {
 	l := s.live
 
 	s.mu.Lock()
-	g := s.eng.Graph()
-	gen := g.Generation()
-	tv := l.tracker.Values()
-	l2gen, l2ok := l.l2.Generation()
-	needL2 := !l2ok || l2gen != gen
-	needStretch := l.stretch.NeedsRefresh(tv.Ticks)
-	needConn := tv.ConnectivityAgeTicks > 0
-	var csrG, csrGp *spectral.CSR
-	if needL2 || needStretch || needConn {
-		csrG = spectral.NewCSR(g)
-	}
-	if needStretch {
-		csrGp = spectral.NewCSR(s.eng.Baseline())
-	}
+	held := time.Now()
+	job := s.copyForRefresh()
 	s.mu.Unlock()
+	s.refreshLockHist.Observe(time.Since(held).Seconds())
 
-	if csrG == nil {
+	if !job.stale {
 		return
 	}
+	csrG := l.adjG.CSR()
 	connected := csrG.Connected()
-	l.tracker.ResolveConnectivity(connected, tv.Ticks)
-	if needL2 {
-		l.l2.Refresh(csrG, connected, gen, tv.Ticks)
+	l.tracker.ResolveConnectivity(connected, job.ticks)
+	if job.lambda2 {
+		l.l2.Refresh(csrG, connected, job.gen, job.ticks)
 	}
-	if needStretch {
-		l.stretch.Refresh(csrG, csrGp, tv.Ticks)
+	if job.stretch {
+		l.stretch.Refresh(csrG, l.adjGp.CSR(), job.ticks)
 	}
+}
+
+// copyForRefresh is the whole of a refresh that runs under s.mu: decide
+// what is stale, then copy the adjacency of G, and of G′ when a stretch
+// tree needs it, into the refresher's buffers. It costs one pass over each
+// graph and, once the buffers have grown to the graphs' size, allocates
+// nothing — no sort, no map and no CSR, which is what keeps an O(n) build
+// from stalling a tick. Caller holds s.mu and is the refresher.
+func (s *Server) copyForRefresh() refreshJob {
+	l := s.live
+	g := s.eng.Graph()
+	tv := l.tracker.Values()
+	l2gen, l2ok := l.l2.Generation()
+	job := refreshJob{
+		gen:     g.Generation(),
+		ticks:   tv.Ticks,
+		stretch: l.stretch.NeedsRefresh(tv.Ticks),
+	}
+	job.lambda2 = !l2ok || l2gen != job.gen
+	job.stale = job.lambda2 || job.stretch || tv.ConnectivityAgeTicks > 0
+	if job.stale {
+		l.adjG.Fill(g)
+	}
+	if job.stretch {
+		l.adjGp.Fill(s.eng.Baseline())
+	}
+	return job
 }
 
 // auditLive runs the tracker's full-recomputation audit against the live

@@ -8,17 +8,18 @@ import (
 
 // This file assembles the daemon's unified metrics registry (internal/obs):
 // the serving counters, topology gauges, the serving histograms (tick
-// latency, batch size, queue depth), and — when a per-wound recorder is
-// attached — the repair span series (repair latency histogram, per-phase
-// time totals, and the protocol cost ledger). GET /metrics renders it in
-// the Prometheus text exposition format (version 0.0.4) — hand-rolled on
-// purpose: the repo takes no dependencies, and the format is lines.
+// latency, batch size, queue depth, the refresher's apply-lock hold), and
+// — when a per-wound recorder is attached — the repair span series (repair
+// latency histogram, per-phase time totals, and the protocol cost ledger).
+// GET /metrics renders it in the Prometheus text exposition format (version
+// 0.0.4) — hand-rolled on purpose: the repo takes no dependencies, and the
+// format is lines.
 
 // buildRegistry registers every serving metric. Counters and gauges are
 // pull closures evaluated at scrape time — over the loop's published copy
 // (Counters), the tracker and the caches, never over s.mu, so a scrape does
 // not wait for a tick or a checkpoint; histograms are the live instruments
-// the tick loop observes into.
+// the tick loop and the refresher observe into.
 func (s *Server) buildRegistry() {
 	reg := obs.NewRegistry()
 	s.reg = reg
@@ -130,6 +131,8 @@ func (s *Server) buildRegistry() {
 	reg.Histogram("xheal_serve_tick_seconds", "Engine time applying one batch (tick latency).", s.tickHist)
 	reg.Histogram("xheal_serve_batch_events", "Events per applied batch.", s.batchHist)
 	reg.Histogram("xheal_serve_queue_depth_at_tick", "Queue depth observed after each applied batch.", s.queueHist)
+	s.refreshLockHist = obs.MustHistogram(obs.LatencyBuckets())
+	reg.Histogram("xheal_serve_refresh_lock_seconds", "Time the refresher held the apply lock per refresh, copying the graphs it rebuilds its caches from.", s.refreshLockHist)
 
 	rec := s.cfg.Recorder
 	if rec == nil {

@@ -366,6 +366,7 @@ func TestMetricsExpositionStrict(t *testing.T) {
 		"xheal_serve_tick_seconds":                 "histogram",
 		"xheal_serve_batch_events":                 "histogram",
 		"xheal_serve_queue_depth_at_tick":          "histogram",
+		"xheal_serve_refresh_lock_seconds":         "histogram",
 		"xheal_repair_spans_total":                 "counter",
 		"xheal_repair_spans_dropped_total":         "counter",
 		"xheal_repair_rounds_total":                "counter",

@@ -350,12 +350,14 @@ type Server struct {
 	carried    atomic.Int64 // mirrors len(carry) for QueueDepth readers
 	start      time.Time
 
-	// Unified metrics (see metrics.go). The histograms are observed by the
-	// loop goroutine inside apply; the registry renders them on scrape.
-	reg       *obs.Registry
-	tickHist  *obs.Histogram
-	batchHist *obs.Histogram
-	queueHist *obs.Histogram
+	// Unified metrics (see metrics.go). The loop goroutine observes the
+	// first three inside apply and the refresher observes its lock hold;
+	// the registry renders them on scrape.
+	reg             *obs.Registry
+	tickHist        *obs.Histogram
+	batchHist       *obs.Histogram
+	queueHist       *obs.Histogram
+	refreshLockHist *obs.Histogram
 }
 
 type submission struct {
