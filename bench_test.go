@@ -2,7 +2,6 @@ package xheal_test
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"github.com/xheal/xheal"
@@ -191,12 +190,9 @@ func churnBatch(rng *rand.Rand, alive []xheal.NodeID, next *xheal.NodeID, dels i
 	return batch, alive
 }
 
-// applyBatchChurn measures multi-deletion timesteps on a large sparse
-// network — the disjoint-footprint regime where ApplyBatchParallel fans
-// repairs out across groups. workers ≤ 1 takes the serial ApplyBatch path;
-// both paths produce byte-identical states, so the two benchmarks measure
-// exactly the scheduling overhead/speedup.
-func applyBatchChurn(b *testing.B, workers int) {
+// BenchmarkApplyBatchSerial measures a 12-deletion churn timestep on a
+// large sparse network, healed serially.
+func BenchmarkApplyBatchSerial(b *testing.B) {
 	g, err := xheal.RandomRegularGraph(512, 3, 21)
 	if err != nil {
 		b.Fatal(err)
@@ -213,26 +209,11 @@ func applyBatchChurn(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		var batch xheal.Batch
 		batch, alive = churnBatch(rng, alive, &next, 12)
-		if workers > 1 {
-			err = n.ApplyBatchParallel(batch, workers)
-		} else {
-			err = n.ApplyBatch(batch)
-		}
-		if err != nil {
+		if err := n.ApplyBatch(batch); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkApplyBatchSerial measures a 12-deletion churn timestep healed
-// serially.
-func BenchmarkApplyBatchSerial(b *testing.B) { applyBatchChurn(b, 1) }
-
-// BenchmarkApplyBatchParallel measures the same timestep with disjoint wounds
-// healed concurrently on GOMAXPROCS workers, so -cpu 1,2,4,8 sweeps the
-// scaling curve (at -cpu 1 it takes the serial path). Points above the
-// host's CPU count measure oversubscription, not speed-up.
-func BenchmarkApplyBatchParallel(b *testing.B) { applyBatchChurn(b, runtime.GOMAXPROCS(0)) }
 
 // BenchmarkLambda2Jacobi measures the dense eigensolver path (n <= 220).
 func BenchmarkLambda2Jacobi(b *testing.B) {

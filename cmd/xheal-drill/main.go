@@ -15,7 +15,7 @@
 //	xheal-drill -daemon ./xheal-serve -scenario readmix -minutes 10 -kill-every 20s -out soak.json -- -engine dist
 //
 // Everything after "--" is passed to the daemon (-engine, -kappa, -tick,
-// -audit-every, -parallelism, -verify-recovery, ...); the drill owns -addr,
+// -audit-every, -max-batch, -verify-recovery, ...); the drill owns -addr,
 // -workload, -n, -seed, -data-dir, -archive-log and -spanlog, because the
 // daemon must build exactly the genesis graph the scenario stream was
 // compiled against and write where the drill will look.

@@ -60,7 +60,7 @@ func drillCLI(t *testing.T, args ...string) (int, *report, string) {
 // both engines, and the report says what was checked.
 func TestFiniteScenario(t *testing.T) {
 	for name, args := range map[string][]string{
-		"seq":  {"-scenario", "flashcrowd", "-events", "96", "-rate", "4000", "--", "-parallelism", "4"},
+		"seq":  {"-scenario", "flashcrowd", "-events", "96", "-rate", "4000", "--", "-max-batch", "16"},
 		"dist": {"-scenario", "readmix", "-events", "64", "-rate", "4000", "--", "-engine", "dist"},
 	} {
 		t.Run(name, func(t *testing.T) {

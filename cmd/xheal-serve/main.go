@@ -64,7 +64,6 @@ type options struct {
 	tick     time.Duration
 	queue    int
 	maxBatch int
-	parallel int
 	eventLog string
 	spanLog  string
 	pprof    bool
@@ -92,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&o.tick, "tick", 2*time.Millisecond, "batch coalescing window (0 = apply immediately)")
 	fs.IntVar(&o.queue, "queue", 1024, "ingest queue depth (backpressure bound)")
 	fs.IntVar(&o.maxBatch, "max-batch", 256, "max events per batched timestep")
-	fs.IntVar(&o.parallel, "parallelism", 1, "seq engine: heal disjoint wounds of each tick concurrently on this many workers (1 = serial; byte-identical results either way)")
 	fs.StringVar(&o.eventLog, "event-log", "", "append applied events to this trace log (replayable via xheal-sim -replay)")
 	fs.StringVar(&o.spanLog, "spanlog", "", "write one JSONL span per repaired wound to this file (enables per-wound tracing)")
 	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux")
@@ -166,7 +164,6 @@ func buildDaemon(o options) (*daemon, error) {
 		Tick:           o.tick,
 		QueueDepth:     o.queue,
 		MaxBatch:       o.maxBatch,
-		Parallelism:    o.parallel,
 		RefreshEvery:   o.refreshEvery,
 		StretchSources: o.stretchSrcs,
 		AuditEvery:     o.auditEvery,

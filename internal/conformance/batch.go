@@ -38,12 +38,9 @@ func (f *BatchFailure) Unwrap() error { return f.Err }
 // g0. After each timestep it asserts graph identity, the structural
 // invariants, local-view consistency, connectivity, and the per-deletion
 // ledger bounds (Lemma 5 floor, wound broadcast minimum, Theorem 5 round
-// budget) grouped by repair group; at the end it runs the Theorem 2 metric
-// checkpoint. Both engines must agree on acceptance: a batch only one engine
-// rejects is itself a divergence. With opts.Parallelism > 1 the centralized
-// reference heals each batch's disjoint wounds concurrently — graph identity
-// against the serial distributed engine then certifies the parallel schedule
-// equivalent to a serial order.
+// budget); at the end it runs the Theorem 2 metric checkpoint. Both engines
+// must agree on acceptance: a batch only one engine rejects is itself a
+// divergence.
 func RunBatched(g0 *graph.Graph, batches []core.Batch, opts Options) error {
 	net, err := xheal.NewNetwork(g0, xheal.WithKappa(opts.Kappa), xheal.WithSeed(opts.Seed))
 	if err != nil {
@@ -61,12 +58,7 @@ func RunBatched(g0 *graph.Graph, batches []core.Batch, opts Options) error {
 			return &BatchFailure{Timestep: i + 1, Kind: kind, Err: err}
 		}
 		costsBefore := eng.Totals().Deletions
-		var errNet error
-		if opts.Parallelism > 1 {
-			errNet = net.ApplyBatchParallel(b, opts.Parallelism)
-		} else {
-			errNet = net.ApplyBatch(b)
-		}
+		errNet := net.ApplyBatch(b)
 		errEng := eng.ApplyBatch(b)
 		if (errNet == nil) != (errEng == nil) {
 			return fail(KindDivergence, fmt.Errorf(
@@ -93,7 +85,7 @@ func RunBatched(g0 *graph.Graph, batches []core.Batch, opts Options) error {
 			return fail(KindConnectivity, fmt.Errorf("healed graph disconnected (n=%d m=%d)",
 				net.Graph().NumNodes(), net.Graph().NumEdges()))
 		}
-		if err := checkGroupLedgers(net, eng, b, costsBefore); err != nil {
+		if err := checkLedgers(eng, b, costsBefore); err != nil {
 			return fail(KindLedger, err)
 		}
 	}
@@ -103,14 +95,11 @@ func RunBatched(g0 *graph.Graph, batches []core.Batch, opts Options) error {
 	return nil
 }
 
-// checkGroupLedgers verifies one timestep's distributed repair costs against
-// the paper's per-repair bounds, organized by the centralized engine's repair
-// groups. The groups reported by ApplyBatchParallel must partition the
-// batch's deletions (a serial apply reports none, in which case the whole
-// batch is checked as one group), and every deletion must satisfy the
-// Lemma 5 message floor (≥ black degree), the wound broadcast+convergecast
-// minimum (≥ 2·wound−1), and the Theorem 5 round budget ⌊log₂ wound⌋+5.
-func checkGroupLedgers(net *xheal.Network, eng *dist.Engine, b core.Batch, costsBefore int) error {
+// checkLedgers verifies one timestep's distributed repair costs against the
+// paper's per-repair bounds: every deletion must satisfy the Lemma 5 message
+// floor (≥ black degree), the wound broadcast+convergecast minimum
+// (≥ 2·wound−1), and the Theorem 5 round budget ⌊log₂ wound⌋+5.
+func checkLedgers(eng *dist.Engine, b core.Batch, costsBefore int) error {
 	costs := eng.Costs()
 	if got, want := len(costs)-costsBefore, len(b.Deletions); got != want {
 		return fmt.Errorf("distributed ledger grew by %d entries for %d deletions", got, want)
@@ -119,55 +108,30 @@ func checkGroupLedgers(net *xheal.Network, eng *dist.Engine, b core.Batch, costs
 	for _, c := range costs[costsBefore:] {
 		byNode[c.Node] = c
 	}
-
-	groups := net.LastRepairGroups()
-	if groups == nil {
-		// Serial path (plain ApplyBatch, or a fallback inside the parallel
-		// apply): the batch is one implicit group.
-		groups = [][]graph.NodeID{b.Deletions}
-	} else {
-		seen := make(map[graph.NodeID]int, len(b.Deletions))
-		for _, grp := range groups {
-			for _, v := range grp {
-				seen[v]++
-			}
+	for _, v := range b.Deletions {
+		c, ok := byNode[v]
+		if !ok {
+			return fmt.Errorf("no ledger entry for deletion %d", v)
 		}
-		for _, v := range b.Deletions {
-			if seen[v] != 1 {
-				return fmt.Errorf("repair groups cover deletion %d %d times, want exactly once", v, seen[v])
-			}
+		if c.Messages < c.BlackDegree {
+			return fmt.Errorf("delete %d: %d messages < black degree %d (Lemma 5 floor)",
+				v, c.Messages, c.BlackDegree)
 		}
-		if len(seen) != len(b.Deletions) {
-			return fmt.Errorf("repair groups cover %d deletions, batch has %d", len(seen), len(b.Deletions))
+		if c.Wound == 0 {
+			if c.Rounds != 0 || c.Messages != 0 {
+				return fmt.Errorf("delete of isolated %d cost %d rounds / %d messages, want none",
+					v, c.Rounds, c.Messages)
+			}
+			continue
 		}
-	}
-
-	for gi, grp := range groups {
-		for _, v := range grp {
-			c, ok := byNode[v]
-			if !ok {
-				return fmt.Errorf("group %d: no ledger entry for deletion %d", gi, v)
-			}
-			if c.Messages < c.BlackDegree {
-				return fmt.Errorf("group %d, delete %d: %d messages < black degree %d (Lemma 5 floor)",
-					gi, v, c.Messages, c.BlackDegree)
-			}
-			if c.Wound == 0 {
-				if c.Rounds != 0 || c.Messages != 0 {
-					return fmt.Errorf("group %d, delete of isolated %d cost %d rounds / %d messages, want none",
-						gi, v, c.Rounds, c.Messages)
-				}
-				continue
-			}
-			if minMsgs := 2*c.Wound - 1; c.Messages < minMsgs {
-				return fmt.Errorf("group %d, delete %d: %d messages < %d (wound broadcast + convergecast over %d members)",
-					gi, v, c.Messages, minMsgs, c.Wound)
-			}
-			budget := int(math.Floor(math.Log2(float64(c.Wound)))) + 5
-			if c.Rounds < 1 || c.Rounds > budget {
-				return fmt.Errorf("group %d, delete %d: %d rounds outside [1, %d] for a %d-member wound (Theorem 5 round budget)",
-					gi, v, c.Rounds, budget, c.Wound)
-			}
+		if minMsgs := 2*c.Wound - 1; c.Messages < minMsgs {
+			return fmt.Errorf("delete %d: %d messages < %d (wound broadcast + convergecast over %d members)",
+				v, c.Messages, minMsgs, c.Wound)
+		}
+		budget := int(math.Floor(math.Log2(float64(c.Wound)))) + 5
+		if c.Rounds < 1 || c.Rounds > budget {
+			return fmt.Errorf("delete %d: %d rounds outside [1, %d] for a %d-member wound (Theorem 5 round budget)",
+				v, c.Rounds, budget, c.Wound)
 		}
 	}
 	return nil

@@ -47,45 +47,6 @@ func TestBatchedMatrix(t *testing.T) {
 	}
 }
 
-// TestBatchedMatrixParallel is the parallel leg of the batched matrix: the
-// centralized engine heals each batch's disjoint wounds concurrently
-// (Parallelism 4) while the distributed engine stays serial. RunBatched's
-// graph-identity check after every timestep then certifies the parallel
-// schedule equivalent to the serial reference order, and its per-repair-group
-// ledger checks bound each group's protocol work (Lemma 5 floor, wound
-// broadcast minimum, Theorem 5 round budget).
-func TestBatchedMatrixParallel(t *testing.T) {
-	for _, wl := range []string{workload.NameStar, workload.NameRegular, workload.NamePowerLaw} {
-		c := Cell{Workload: wl, Adversary: adversary.NameChurn, N: 32, Steps: 30, Seed: 2100}
-		t.Run(c.String(), func(t *testing.T) {
-			t.Parallel()
-			g0, adv, err := c.Build()
-			if err != nil {
-				t.Fatalf("Build: %v", err)
-			}
-			opts := Options{Kappa: 4, Seed: c.Seed}
-			res, err := Run(g0, adv, opts)
-			if err != nil {
-				t.Fatalf("per-event lockstep run: %v", err)
-			}
-			batches := ChunkSchedule(res.Events, 5)
-			multiDel := 0
-			for _, b := range batches {
-				if len(b.Deletions) > 1 {
-					multiDel++
-				}
-			}
-			if multiDel == 0 {
-				t.Fatal("no multi-deletion batch — the test is not exercising parallel repair")
-			}
-			opts.Parallelism = 4
-			if err := RunBatched(g0, batches, opts); err != nil {
-				t.Fatalf("parallel batched lockstep: %v", err)
-			}
-		})
-	}
-}
-
 // ChunkSchedule preserves application order: replaying the batches through a
 // fresh reference state lands on the same graph as replaying the events one
 // at a time under the same seed.

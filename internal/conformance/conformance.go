@@ -61,13 +61,6 @@ type Options struct {
 	// per-wound spans (the centralized reference runs untraced — it is the
 	// oracle, not the subject).
 	Recorder *obs.Recorder
-	// Parallelism > 1 makes RunBatched apply each batch to the centralized
-	// reference via ApplyBatchParallel with that many workers, while the
-	// distributed engine stays serial — graph identity then proves the
-	// parallel schedule equivalent to the serial one, and the per-repair-
-	// group ledger checks bound each group's protocol work. Ignored by the
-	// per-event Run.
-	Parallelism int
 }
 
 func (o Options) stretchC() float64 {

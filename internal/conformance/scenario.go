@@ -30,9 +30,8 @@ func RunScenario(name string, p scenario.Params, opts Options) (*scenario.Compil
 
 // RunScenarioBatched compiles the named scenario, chunks the schedule into
 // the serving daemon's batched timesteps at the scenario's wave size, and
-// runs the batched lockstep harness (parallel centralized apply when
-// opts.Parallelism > 1). This is the conformance leg closest to what
-// `xheal-drill -scenario` does against a real daemon.
+// runs the batched lockstep harness. This is the conformance leg closest to
+// what `xheal-drill -scenario` does against a real daemon.
 func RunScenarioBatched(name string, p scenario.Params, opts Options) (*scenario.Compiled, error) {
 	comp, err := scenario.Compile(name, p)
 	if err != nil {

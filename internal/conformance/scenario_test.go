@@ -47,17 +47,14 @@ func TestScenarioConformance(t *testing.T) {
 }
 
 // TestScenarioConformanceBatched runs each scenario through the batched
-// harness at its native wave size — serial and parallel centralized apply —
-// mirroring how the serving daemon consumes waves.
+// harness at its native wave size, mirroring how the serving daemon consumes
+// waves.
 func TestScenarioConformanceBatched(t *testing.T) {
 	for _, name := range scenario.Names() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			if _, err := RunScenarioBatched(name, scenarioParams(), Options{Kappa: 4, Seed: 1}); err != nil {
-				t.Fatalf("scenario %s serial: %v", name, err)
-			}
-			if _, err := RunScenarioBatched(name, scenarioParams(), Options{Kappa: 4, Seed: 1, Parallelism: 4}); err != nil {
-				t.Fatalf("scenario %s parallel: %v", name, err)
+				t.Fatalf("scenario %s: %v", name, err)
 			}
 		})
 	}

@@ -116,7 +116,6 @@ func (s *State) ValidateBatch(b Batch) error {
 // is converted to an error and fail-stops the State: the batch may be half
 // applied, so every subsequent mutating or exporting call returns
 // ErrPoisoned rather than serving a state no serial schedule produced.
-// ApplyBatchParallel inherits the same contract.
 func (s *State) ApplyBatch(b Batch) (err error) {
 	if s.poisoned != nil {
 		return s.poisonedErr()
@@ -137,6 +136,13 @@ func (s *State) ApplyBatch(b Batch) (err error) {
 	}
 	return nil
 }
+
+// ApplyBatchParallel is ApplyBatch; the worker count is ignored.
+//
+// Deprecated: repairs are applied serially. Kept only because the frozen
+// benchmark/traced.go names server.ParallelBatcher; ROADMAP item 4(i)
+// removes that use, and this method with it.
+func (s *State) ApplyBatchParallel(b Batch, _ int) error { return s.ApplyBatch(b) }
 
 // poison fail-stops the State with cause and returns the error that every
 // later call will observe (wrapped in ErrPoisoned).

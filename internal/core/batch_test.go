@@ -240,3 +240,40 @@ func TestApplyBatchReusedID(t *testing.T) {
 		t.Fatal("failed batch mutated the state")
 	}
 }
+
+// TestBatchPoisoning pins the fail-stop contract: a post-validation failure
+// (here a panic induced by corrupting a cloud's maintainer) converts to an
+// error and poisons the State — every subsequent call reports ErrPoisoned.
+func TestBatchPoisoning(t *testing.T) {
+	s := mustState(t, Config{Kappa: 4, Seed: 1}, star(10))
+	if err := s.DeleteNode(0); err != nil { // hub repair builds a cloud
+		t.Fatalf("seed deletion: %v", err)
+	}
+	if len(s.clouds) == 0 {
+		t.Fatal("expected a cloud after healing the hub")
+	}
+	for _, c := range s.clouds {
+		c.m = nil // sabotage: the next repair touching this cloud panics
+	}
+	victim := s.AliveNodes()[0]
+	err := s.ApplyBatch(Batch{Deletions: []graph.NodeID{victim}})
+	if !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("ApplyBatch after sabotage = %v, want ErrPoisoned", err)
+	}
+	// Fail-stop: everything refuses, including snapshots and validation.
+	if err := s.InsertNode(999, []graph.NodeID{s.AliveNodes()[0]}); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("InsertNode on poisoned state = %v, want ErrPoisoned", err)
+	}
+	if err := s.DeleteNode(s.AliveNodes()[0]); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("DeleteNode on poisoned state = %v, want ErrPoisoned", err)
+	}
+	if err := s.ValidateBatch(Batch{}); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("ValidateBatch on poisoned state = %v, want ErrPoisoned", err)
+	}
+	if _, err := s.SnapshotState(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("SnapshotState on poisoned state = %v, want ErrPoisoned", err)
+	}
+	if err := s.ApplyBatch(Batch{}); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("ApplyBatch on poisoned state = %v, want ErrPoisoned", err)
+	}
+}

@@ -215,7 +215,7 @@ func (s *State) makePrimaryCloud(nodes []graph.NodeID) *cloud {
 	}
 	s.reconcileCloud(c)
 	s.stats.PrimaryClouds++
-	s.traceCloudWired(len(nodes))
+	s.rec.CloudWired(len(nodes))
 	return c
 }
 
@@ -274,7 +274,7 @@ func (s *State) makeSecondary(groups []*cloud) {
 	}
 	s.reconcileCloud(f)
 	s.stats.SecondaryClouds++
-	s.traceCloudWired(len(bridges))
+	s.rec.CloudWired(len(bridges))
 }
 
 // addToSecondary inserts bridge z (anchoring primary cloud primaryID) into

@@ -55,16 +55,15 @@ func (c *CountedSource) Draws() uint64 { return c.draws }
 // the duration of one repair (see deleteNode's per-repair sub-stream) must
 // happen behind the Rand, not by handing out a different Rand.
 //
-// Not safe for concurrent use; each State (including the scoped states built
-// by ApplyBatchParallel) owns exactly one.
+// Not safe for concurrent use; each State owns exactly one.
 type switchableSource struct {
 	cur rand.Source64
 }
 
 var _ rand.Source64 = (*switchableSource)(nil)
 
-func (w *switchableSource) Int63() int64  { return w.cur.Int63() }
-func (w *switchableSource) Uint64() uint64 { return w.cur.Uint64() }
+func (w *switchableSource) Int63() int64    { return w.cur.Int63() }
+func (w *switchableSource) Uint64() uint64  { return w.cur.Uint64() }
 func (w *switchableSource) Seed(seed int64) { w.cur.Seed(seed) }
 
 // Skip fast-forwards the stream by n values (used by snapshot restore to

@@ -87,18 +87,6 @@ type State struct {
 	// no-op on nil, so the disabled hot path pays one nil check.
 	rec *obs.Recorder
 
-	// capture, when non-nil, diverts recorder callbacks into an in-memory
-	// list instead of rec. ApplyBatchParallel sets it on the scoped states so
-	// concurrent repairs never touch the shared recorder; the coordinator
-	// replays the captured calls in batch order after the merge.
-	capture *repairCapture
-
-	// seedQueue, when non-nil, feeds deleteNode its per-repair sub-stream
-	// seeds instead of the main stream. ApplyBatchParallel pre-draws one seed
-	// per deletion in batch order and routes each group's share here, so the
-	// main stream advances identically to a serial run.
-	seedQueue []int64
-
 	// inv carries the rotating cursors of CheckInvariantsSampled;
 	// bookkeeping only, outside Snapshot identity.
 	inv invCursors
@@ -106,10 +94,6 @@ type State struct {
 	// poisoned, once set, fail-stops the State: every mutating or exporting
 	// call returns ErrPoisoned wrapping this cause. See ApplyBatch's contract.
 	poisoned error
-
-	// lastGroups records the repair groups of the most recent
-	// ApplyBatchParallel call, in merge order; see LastRepairGroups.
-	lastGroups [][]graph.NodeID
 }
 
 // NewState builds a State over a copy of the initial graph g0, whose edges
@@ -315,20 +299,19 @@ func (s *State) deleteNode(v graph.NodeID, settle bool) error {
 
 	// Every repair consumes exactly one value from the main counted stream:
 	// the seed of an ephemeral, uncounted sub-stream that supplies all of the
-	// repair's randomness (H-graph wiring, shuffles). This is the draw-merge
-	// rule that keeps Snapshot byte-deterministic under parallel batching:
-	// src.Draws() advances by one per deletion regardless of how repairs are
-	// grouped or interleaved, and a repair's outcome depends only on its own
-	// seed — never on how many values earlier repairs happened to draw.
+	// repair's randomness (H-graph wiring, shuffles). src.Draws() advances by
+	// one per deletion, and a repair's outcome depends only on its own seed —
+	// never on how many values earlier repairs happened to draw. Snapshots
+	// record the stream position, so this rule is part of their byte format.
 	prev := s.sw.cur
-	s.sw.cur = rand.NewSource(s.nextRepairSeed()).(rand.Source64)
+	s.sw.cur = rand.NewSource(int64(s.src.Uint64())).(rand.Source64)
 	defer func() { s.sw.cur = prev }()
 
 	// Gather v's situation before mutating anything.
 	blackNbrs := s.blackNeighborsOf(v)
 	primaries := s.PrimariesOf(v)
 	link, hasLink := s.bridgeLinks[v]
-	s.traceRepairBegin(v, len(s.g.Neighbors(v)), len(blackNbrs))
+	s.rec.RepairBegin(v, len(s.g.Neighbors(v)), len(blackNbrs))
 
 	// Physically remove v; its incident edges and their claims die with it.
 	nbrs, err := s.g.RemoveNode(v)
@@ -354,26 +337,11 @@ func (s *State) deleteNode(v graph.NodeID, settle bool) error {
 		s.caseSecondaryBridge(v, link, primaries, blackNbrs)
 	}
 	s.stats.Deletions++
-	s.tracePhase(obs.PhaseRewired)
+	s.rec.Phase(obs.PhaseRewired)
 	if settle {
-		s.traceRepairEnd()
+		s.rec.RepairEnd()
 	}
 	return nil
-}
-
-// nextRepairSeed returns the sub-stream seed for the next repair: popped
-// from the pre-drawn queue when one is installed (scoped parallel runs),
-// otherwise one counted draw from the main stream.
-func (s *State) nextRepairSeed() int64 {
-	if s.seedQueue != nil {
-		if len(s.seedQueue) == 0 {
-			panic("core: repair seed queue exhausted")
-		}
-		seed := s.seedQueue[0]
-		s.seedQueue = s.seedQueue[1:]
-		return seed
-	}
-	return int64(s.src.Uint64())
 }
 
 // EdgeDelta is the net physical edge change one healing repair made,

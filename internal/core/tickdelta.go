@@ -134,17 +134,13 @@ func (s *State) noteNodeRemoved(v graph.NodeID, wound []graph.NodeID) {
 	}
 }
 
-// ApplyBatchDelta applies one batch — in parallel when workers > 1, serially
-// otherwise — and returns the net structural change it made. The failure
-// contract is ApplyBatch's; on error the returned delta is empty.
-func (s *State) ApplyBatchDelta(b Batch, workers int) (TickDelta, error) {
+// ApplyBatchDelta applies one batch and returns the net structural change it
+// made. The failure contract is ApplyBatch's; on error the returned delta is
+// empty. The worker count is ignored: repairs are applied serially (the
+// parameter stays until ROADMAP item 4(i) frees server.DeltaBatcher).
+func (s *State) ApplyBatchDelta(b Batch, _ int) (TickDelta, error) {
 	s.BeginTickDelta()
-	var err error
-	if workers > 1 {
-		err = s.ApplyBatchParallel(b, workers)
-	} else {
-		err = s.ApplyBatch(b)
-	}
+	err := s.ApplyBatch(b)
 	d := s.TakeTickDelta()
 	if err != nil {
 		return TickDelta{}, err

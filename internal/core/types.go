@@ -139,16 +139,3 @@ type Stats struct {
 	Combines int
 	Shares   int
 }
-
-// add accumulates o's counters; used when merging the per-scope stats of
-// parallel repair groups back into the main state.
-func (st *Stats) add(o Stats) {
-	st.Insertions += o.Insertions
-	st.Deletions += o.Deletions
-	st.HealEdgesAdded += o.HealEdgesAdded
-	st.HealEdgesRemoved += o.HealEdgesRemoved
-	st.PrimaryClouds += o.PrimaryClouds
-	st.SecondaryClouds += o.SecondaryClouds
-	st.Combines += o.Combines
-	st.Shares += o.Shares
-}

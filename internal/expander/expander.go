@@ -87,34 +87,6 @@ func NewMaintainer(kappa int, members []graph.NodeID, rng *rand.Rand) (*Maintain
 	return m, nil
 }
 
-// SetRand rebinds the randomness source feeding future rewiring draws (and
-// the H-graph's, if one is live). Used when a maintainer built in one scope
-// (a parallel repair group) is merged back into the owning state.
-func (m *Maintainer) SetRand(rng *rand.Rand) {
-	m.rng = rng
-	if m.h != nil {
-		m.h.SetRand(rng)
-	}
-}
-
-// Clone returns a deep copy wired to draw from rng. The copy shares no
-// mutable memory with the original.
-func (m *Maintainer) Clone(rng *rand.Rand) *Maintainer {
-	c := &Maintainer{
-		kappa:   m.kappa,
-		members: make(map[graph.NodeID]struct{}, len(m.members)),
-		rng:     rng,
-		peak:    m.peak,
-	}
-	for v := range m.members {
-		c.members[v] = struct{}{}
-	}
-	if m.h != nil {
-		c.h = m.h.Clone(rng)
-	}
-	return c
-}
-
 // Kappa returns the degree parameter.
 func (m *Maintainer) Kappa() int { return m.kappa }
 

@@ -76,38 +76,6 @@ func New(d int, vertices []graph.NodeID, rng *rand.Rand) (*H, error) {
 	return h, nil
 }
 
-// SetRand rebinds the randomness source feeding future Insert/rebuild
-// draws. Used when an H-graph built in one scope (a parallel repair group)
-// is merged back to draw from the owning state's stream.
-func (h *H) SetRand(rng *rand.Rand) { h.rng = rng }
-
-// Clone returns a deep structural copy wired to draw from rng. The copy
-// shares no mutable memory with the original.
-func (h *H) Clone(rng *rand.Rand) *H {
-	c := &H{
-		d:     h.d,
-		succ:  make([]map[graph.NodeID]graph.NodeID, h.d),
-		pred:  make([]map[graph.NodeID]graph.NodeID, h.d),
-		order: append([]graph.NodeID(nil), h.order...),
-		pos:   make(map[graph.NodeID]int, len(h.pos)),
-		rng:   rng,
-	}
-	for i := 0; i < h.d; i++ {
-		c.succ[i] = make(map[graph.NodeID]graph.NodeID, len(h.succ[i]))
-		for k, v := range h.succ[i] {
-			c.succ[i][k] = v
-		}
-		c.pred[i] = make(map[graph.NodeID]graph.NodeID, len(h.pred[i]))
-		for k, v := range h.pred[i] {
-			c.pred[i][k] = v
-		}
-	}
-	for k, v := range h.pos {
-		c.pos[k] = v
-	}
-	return c
-}
-
 // D returns the number of Hamilton cycles (nominal degree is 2D).
 func (h *H) D() int { return h.d }
 

@@ -11,10 +11,13 @@ import (
 )
 
 // DeltaBatcher is the Engine facet the tick loop applies batches through:
-// apply one batch (on workers goroutines where the engine can; ≤ 1 is
-// serial) and return the net structural delta it caused, which feeds the
-// incremental metrics.
+// apply one batch and return the net structural delta it caused, which feeds
+// the incremental metrics.
 type DeltaBatcher interface {
+	// Deprecated: the workers parameter is ignored by every engine (repairs
+	// are applied serially). It stays only because the frozen
+	// benchmark/traced.go overrides this signature; ROADMAP item 4(i)
+	// removes that use, and the parameter with it.
 	ApplyBatchDelta(b core.Batch, workers int) (core.TickDelta, error)
 }
 

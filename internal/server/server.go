@@ -112,11 +112,10 @@ type Config struct {
 	// stamps the tick, the engine stamps the phases. It is handed to the
 	// engine at New. nil disables per-wound tracing at zero cost.
 	Recorder *obs.Recorder
-	// Parallelism, when > 1, is the worker count handed to the engine's
-	// ApplyBatchDelta: core.State heals disjoint wounds of each tick's batch
-	// concurrently on that many workers (dist.Engine ignores it). 0 or 1
-	// applies batches serially. The final state is byte-identical either
-	// way; see core.State's ApplyBatchParallel.
+	// Parallelism is ignored: every batch is applied serially.
+	//
+	// Deprecated: kept only because the frozen benchmark/traced.go sets it;
+	// ROADMAP item 4(i) removes that use, and this field with it.
 	Parallelism int
 	// RefreshEvery is the cadence, in applied ticks, at which the refresher
 	// goroutine re-establishes the expensive cached metrics: connectivity
@@ -133,9 +132,11 @@ type Config struct {
 	AuditEvery int
 }
 
-// ParallelBatcher names core.State's parallel entry point. The server does
-// not call it — Config.Parallelism reaches the engine as ApplyBatchDelta's
-// worker count — it is kept for embedders that wrap a core.State.
+// ParallelBatcher names core.State's former parallel entry point, now
+// ApplyBatch under another name. The server does not call it.
+//
+// Deprecated: kept only because the frozen benchmark/traced.go embeds it;
+// ROADMAP item 4(i) removes that use, and this type with it.
 type ParallelBatcher interface {
 	ApplyBatchParallel(b core.Batch, workers int) error
 }
@@ -723,7 +724,7 @@ func (s *Server) tick(pending []*submission) (opportunity bool) {
 	// under once the batch lands.
 	s.cfg.Recorder.SetTick(s.counters.Ticks + 1)
 	applyStart := time.Now()
-	delta, err := s.eng.ApplyBatchDelta(bs.batch, s.cfg.Parallelism)
+	delta, err := s.eng.ApplyBatchDelta(bs.batch, 1)
 	applied := time.Since(applyStart)
 	if err != nil {
 		// Admission should have prevented this; fail the whole timestep

@@ -227,20 +227,6 @@ type BatchInsertion = core.BatchInsertion
 // validated up front and rejected wholesale on conflict.
 func (n *Network) ApplyBatch(b Batch) error { return n.state.ApplyBatch(b) }
 
-// ApplyBatchParallel is ApplyBatch with the batch's deletions healed
-// concurrently where their repair footprints are disjoint (Theorem 5's
-// locality argument makes such repairs independent). workers bounds the
-// worker pool; the final state is byte-identical to ApplyBatch's for any
-// worker count. See core.State.ApplyBatchParallel.
-func (n *Network) ApplyBatchParallel(b Batch, workers int) error {
-	return n.state.ApplyBatchParallel(b, workers)
-}
-
-// LastRepairGroups reports how the most recent ApplyBatchParallel call
-// grouped the batch's deletions (nil when it took the plain serial path).
-// Observability hook for conformance's per-group ledger checks.
-func (n *Network) LastRepairGroups() [][]NodeID { return n.state.LastRepairGroups() }
-
 // WriteDOT renders the healed graph in Graphviz DOT form with the paper's
 // color convention: black original/inserted edges, red primary-cloud edges,
 // orange secondary-cloud edges, bridge nodes as boxes.
