@@ -642,9 +642,6 @@ func (d *drill) verify() {
 		g.failf("final recovery: %v", err)
 		return
 	}
-	if c, ok := rec.Engine.(interface{ Close() }); ok {
-		defer c.Close() // a dist engine owns a goroutine per node
-	}
 	if rec.Events != d.settled {
 		g.failf("final recovery found %d events, the drill settled %d", rec.Events, d.settled)
 	}

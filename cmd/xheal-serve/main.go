@@ -41,7 +41,6 @@ import (
 	"net/http/pprof"
 
 	"github.com/xheal/xheal/internal/checkpoint"
-	"github.com/xheal/xheal/internal/dist"
 	"github.com/xheal/xheal/internal/graph"
 	"github.com/xheal/xheal/internal/obs"
 	"github.com/xheal/xheal/internal/server"
@@ -169,13 +168,6 @@ func buildDaemon(o options) (*daemon, error) {
 		AuditEvery:     o.auditEvery,
 	}
 	var eng server.Engine
-	// A dist engine owns one goroutine per node; a seq engine has nothing
-	// to close.
-	closeEng := func() {
-		if de, ok := eng.(*dist.Engine); ok {
-			de.Close()
-		}
-	}
 	var recovered *server.Recovered
 	verified := false
 	var logFile *os.File
@@ -202,13 +194,11 @@ func buildDaemon(o options) (*daemon, error) {
 		recovered = rec
 		fl, err := trace.OpenFileLog(logDir, g0, rec.Tick, rec.Events, "")
 		if err != nil {
-			closeEng()
 			return nil, err
 		}
 		if o.verifyRecovery {
 			if err := server.VerifyRecovery(eng, engName, logDir, o.kappa, o.seed); err != nil {
 				fl.Close()
-				closeEng()
 				return nil, fmt.Errorf("verify recovery: %w", err)
 			}
 			verified = true
@@ -266,7 +256,6 @@ func buildDaemon(o options) (*daemon, error) {
 			if logFile != nil {
 				logFile.Close()
 			}
-			closeEng()
 		},
 	}
 	return d, nil

@@ -201,7 +201,6 @@ func runDistributed(stdout, stderr io.Writer, g0 *graph.Graph, adv adversary.Adv
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	defer e.Close()
 	step := 0
 	for {
 		ev, ok := adv.Next(e.Graph())

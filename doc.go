@@ -1,9 +1,10 @@
 // Package xheal is a from-scratch Go implementation of Xheal, the localized
 // self-healing algorithm of Pandurangan & Trehan (PODC 2011), together with
 // everything needed to reproduce the paper's analysis: the Law–Siu random
-// H-graph expander substrate, a distributed (goroutine-per-node) protocol
-// with honest round/message accounting, baseline healers (Forgiving
-// Tree/Graph-style and naive repairs), and spectral/cut measurement tooling.
+// H-graph expander substrate, a distributed (message-passing, synchronous
+// rounds) protocol with honest round/message accounting, baseline healers
+// (Forgiving Tree/Graph-style and naive repairs), and spectral/cut
+// measurement tooling.
 //
 // # The problem
 //

@@ -1,7 +1,7 @@
-// Distributed repair: run the paper's §5 protocol — every node a goroutine,
-// all coordination by messages in synchronous rounds — and watch the
-// per-deletion cost match Theorem 5: O(log n) recovery rounds and amortized
-// messages within O(κ·log n) of Lemma 5's Θ(deg) lower bound.
+// Distributed repair: run the paper's §5 protocol — every node its own
+// protocol state, all coordination by messages in synchronous rounds — and
+// watch the per-deletion cost match Theorem 5: O(log n) recovery rounds and
+// amortized messages within O(κ·log n) of Lemma 5's Θ(deg) lower bound.
 //
 // Run with: go run ./examples/distributed-repair
 package main
@@ -26,7 +26,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer d.Close()
 
 	fmt.Printf("distributed Xheal on a %d-node 6-regular overlay (kappa=4)\n\n", n)
 	fmt.Printf("%-10s %-8s %-8s %-10s\n", "deleted", "deg_G'", "rounds", "messages")

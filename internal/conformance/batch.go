@@ -50,7 +50,6 @@ func RunBatched(g0 *graph.Graph, batches []core.Batch, opts Options) error {
 	if err != nil {
 		return fmt.Errorf("conformance: distributed engine: %w", err)
 	}
-	defer eng.Close()
 
 	rs := &runState{opts: opts, net: net, eng: eng, res: &Result{}, maxAlive: g0.NumNodes()}
 	for i, b := range batches {

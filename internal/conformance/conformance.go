@@ -138,7 +138,6 @@ func Run(g0 *graph.Graph, adv adversary.Adversary, opts Options) (*Result, error
 	if err != nil {
 		return nil, fmt.Errorf("conformance: distributed engine: %w", err)
 	}
-	defer eng.Close()
 	if opts.Recorder != nil {
 		eng.SetRecorder(opts.Recorder)
 	}

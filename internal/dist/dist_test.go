@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/xheal/xheal/internal/core"
@@ -344,8 +345,78 @@ func TestValidateDetectsDivergence(t *testing.T) {
 		victim = nd
 		break
 	}
-	victim.view[graph.NodeID(424242)] = struct{}{}
+	victim.view = append(victim.view, graph.NodeID(424242))
 	if err := e.ValidateLocalViews(); err == nil {
 		t.Fatal("corrupted view not detected")
+	}
+}
+
+// TestEngineSpawnsNoGoroutines: the engine runs its rounds on the caller's
+// goroutine, so building, churning, snapshotting and restoring it leave the
+// goroutine count unchanged. Every local view is the node's own copy, never
+// the graph's neighbor storage: an aliased view would make
+// ValidateLocalViews compare the graph with itself, and it could not fail.
+func TestEngineSpawnsNoGoroutines(t *testing.T) {
+	// The previous test's goroutine may still be exiting, so the count may
+	// fall; it must never rise.
+	base := runtime.NumGoroutine()
+	goroutines := func(step string) {
+		t.Helper()
+		if got := runtime.NumGoroutine(); got > base {
+			t.Fatalf("after %s: %d goroutines, want at most %d", step, got, base)
+		}
+	}
+	ownViews := func(step string, e *Engine) {
+		t.Helper()
+		for id, nd := range e.nodes {
+			if nbrs := e.Graph().Neighbors(id); len(nd.view) > 0 && len(nbrs) > 0 && &nd.view[0] == &nbrs[0] {
+				t.Fatalf("after %s: node %d's view aliases the graph's neighbor storage", step, id)
+			}
+		}
+	}
+
+	e := regularEngine(t, 2000, 3, 4, 31)
+	goroutines("NewEngine")
+	ownViews("NewEngine", e)
+
+	rng := rand.New(rand.NewSource(32))
+	next := graph.NodeID(1 << 20)
+	for i := 0; i < 20; i++ {
+		alive := e.State().AliveNodes()
+		if err := e.Insert(next, []graph.NodeID{alive[rng.Intn(len(alive))]}); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		next++
+		if err := e.Delete(alive[rng.Intn(len(alive))]); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+	}
+	alive := e.State().AliveNodes()
+	b := core.Batch{
+		Insertions: []core.BatchInsertion{{Node: next, Neighbors: []graph.NodeID{alive[0], alive[1]}}},
+		Deletions:  []graph.NodeID{alive[2], alive[3]},
+	}
+	if err := e.ApplyBatch(b); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	goroutines("churn")
+
+	data, err := e.SnapshotState()
+	if err != nil {
+		t.Fatalf("SnapshotState: %v", err)
+	}
+	snap, err := LoadSnapshot(data)
+	if err != nil {
+		t.Fatalf("LoadSnapshot: %v", err)
+	}
+	restored, err := RestoreEngine(snap)
+	if err != nil {
+		t.Fatalf("RestoreEngine: %v", err)
+	}
+	defer restored.Close()
+	goroutines("RestoreEngine")
+	ownViews("RestoreEngine", restored)
+	if err := restored.ValidateLocalViews(); err != nil {
+		t.Fatalf("restored views: %v", err)
 	}
 }

@@ -1,7 +1,9 @@
 // Package dist is the distributed Xheal protocol engine of the paper's §5:
-// every alive node is a goroutine, all coordination happens by messages over
-// channels in synchronous rounds, and every round and message is counted so
-// the cost theorems can be checked empirically.
+// every alive node keeps its own protocol state, all coordination happens by
+// messages in synchronous rounds, and every round and message is counted so
+// the cost theorems can be checked empirically. The engine runs the rounds
+// in one loop: each round delivers every message in flight, in ascending
+// recipient order, and the replies become the next round's traffic.
 //
 // # Protocol
 //
@@ -31,6 +33,5 @@
 // maintained by the reference implementation.
 //
 // The engine is not safe for concurrent use; drive it from one goroutine.
-// Synchronization with the node goroutines is purely channel-based, so the
-// package is clean under the race detector.
+// It starts no goroutines of its own.
 package dist

@@ -1,11 +1,11 @@
 package dist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"github.com/xheal/xheal/internal/core"
 	"github.com/xheal/xheal/internal/graph"
@@ -53,18 +53,17 @@ type Totals struct {
 // ErrClosed is returned by mutating calls after Close.
 var ErrClosed = errors.New("dist: engine is closed")
 
-// Engine runs the distributed Xheal protocol: one goroutine per alive node,
-// coordinating exclusively by messages over channels in synchronous rounds.
+// Engine runs the distributed Xheal protocol: every alive node keeps its own
+// protocol state and coordinates with the others exclusively by messages, in
+// synchronous rounds.
 //
 // The zero value is not usable; call NewEngine. Not safe for concurrent use.
 type Engine struct {
-	st   *core.State
-	seed int64
-	src  *core.CountedSource // the stream behind rng, counted for snapshots
-	rng  *rand.Rand
+	st  *core.State
+	src *core.CountedSource // the stream behind rng, counted for snapshots
+	rng *rand.Rand
 
 	nodes map[graph.NodeID]*node
-	wg    sync.WaitGroup
 
 	costs       []DeletionCost
 	totals      Totals
@@ -72,8 +71,7 @@ type Engine struct {
 
 	// plan is the current wound's repair outcome, computed by the reference
 	// implementation and read by the elected leader when it "runs" Algorithm
-	// 3.1 on the gathered state. Written strictly before the protocol rounds
-	// start, so the channel synchronization orders the accesses.
+	// 3.1 on the gathered state. Set for the duration of one repair's rounds.
 	plan *repairPlan
 
 	// rec, when non-nil, receives per-wound trace callbacks. The inner
@@ -88,10 +86,9 @@ type Engine struct {
 	closed bool
 }
 
-// NewEngine builds the engine over a copy of the initial topology and spawns
-// one goroutine per node. Every node starts knowing exactly its own
+// NewEngine builds the engine over a copy of the initial topology, with one
+// protocol node per alive node. Every node starts knowing exactly its own
 // neighbors (the initial topology is common knowledge in the paper's model).
-// Close the engine when done.
 func NewEngine(cfg Config, g0 *graph.Graph) (*Engine, error) {
 	st, err := core.NewState(core.Config{Kappa: cfg.Kappa, Seed: cfg.Seed}, g0)
 	if err != nil {
@@ -100,35 +97,22 @@ func NewEngine(cfg Config, g0 *graph.Graph) (*Engine, error) {
 	src := core.NewCountedSource(cfg.Seed ^ rankSeedSalt)
 	e := &Engine{
 		st:    st,
-		seed:  cfg.Seed,
 		src:   src,
 		rng:   rand.New(src),
 		nodes: make(map[graph.NodeID]*node, g0.NumNodes()),
 	}
-	for _, id := range st.Graph().Nodes() {
-		nd := e.spawn(id)
-		for _, w := range st.Graph().Neighbors(id) {
-			nd.view[w] = struct{}{}
-		}
+	g := st.Graph()
+	for _, id := range g.Nodes() {
+		e.spawn(id).view = slices.Clone(g.Neighbors(id))
 	}
 	return e, nil
 }
 
-// spawn creates and starts the goroutine for a new alive node.
+// spawn creates the protocol node for a new alive node, drawing its rank.
 func (e *Engine) spawn(id graph.NodeID) *node {
-	nd := newNode(id, e.rng.Int63(), e)
+	nd := &node{id: id, rank: e.rng.Int63()}
 	e.nodes[id] = nd
-	e.wg.Add(1)
-	go nd.run()
 	return nd
-}
-
-// stop terminates one node's goroutine (it was deleted).
-func (e *Engine) stop(id graph.NodeID) {
-	if nd, ok := e.nodes[id]; ok {
-		close(nd.inbox)
-		delete(e.nodes, id)
-	}
 }
 
 // SetRecorder attaches a per-wound trace recorder (nil detaches it). Spans
@@ -181,7 +165,7 @@ func (e *Engine) Insert(u graph.NodeID, nbrs []graph.NodeID) error {
 	nd := e.spawn(u)
 	pending := make([]message, 0, len(nbrs))
 	for _, w := range nbrs {
-		nd.view[w] = struct{}{}
+		nd.link(w)
 		pending = append(pending, message{from: u, to: w, kind: msgHello, subject: u})
 	}
 	rounds, msgs := e.runProtocol(pending)
@@ -212,7 +196,7 @@ func (e *Engine) Delete(v graph.NodeID) error {
 	if err != nil {
 		return err
 	}
-	e.stop(v)
+	delete(e.nodes, v)
 	e.plan = buildPlan(v, delta)
 
 	pending := make([]message, 0, len(wound))
@@ -226,9 +210,7 @@ func (e *Engine) Delete(v graph.NodeID) error {
 	e.plan = nil
 	// The wound is closed: release every member's election state so the
 	// gathered reports don't accumulate for the engine's lifetime and a
-	// stray cross-wound aggregate or grant fails fast. The engine is
-	// synchronized with every node here (runProtocol collected all
-	// outboxes), so the direct write is ordered.
+	// stray cross-wound aggregate or grant fails fast.
 	for _, w := range wound {
 		if nd, ok := e.nodes[w]; ok {
 			nd.wound = nil
@@ -337,7 +319,7 @@ func (e *Engine) CheckInvariantsSampled(budget int) error {
 	g := e.st.Graph()
 	alive := g.Nodes()
 	if len(e.nodes) != len(alive) {
-		return fmt.Errorf("dist: %d node goroutines for %d alive nodes", len(e.nodes), len(alive))
+		return fmt.Errorf("dist: %d protocol nodes for %d alive nodes", len(e.nodes), len(alive))
 	}
 	n := len(alive)
 	if n == 0 {
@@ -357,16 +339,13 @@ func (e *Engine) CheckInvariantsSampled(budget int) error {
 	return nil
 }
 
-// planFor hands the current wound's repair plan to the elected leader. It is
-// called from a node goroutine; the engine wrote the plan before starting
-// the rounds, so the inbox send orders the accesses.
+// planFor hands the current wound's repair plan to the elected leader.
 func (e *Engine) planFor(victim graph.NodeID) *repairPlan {
 	if e.plan == nil || e.plan.victim != victim {
 		// A leader can only be elected inside the wound the engine opened.
 		panic(fmt.Sprintf("dist: no repair plan for victim %d", victim))
 	}
 	// The leader picking up the plan is the moment the election resolved.
-	// Called from a node goroutine; the recorder is internally synchronized.
 	e.rec.Phase(obs.PhaseElected)
 	return e.plan
 }
@@ -396,36 +375,29 @@ func buildPlan(victim graph.NodeID, delta core.EdgeDelta) *repairPlan {
 }
 
 // runProtocol drives synchronous rounds until no messages remain in flight:
-// deliver every pending message to its recipient's inbox, let the node
-// goroutines process the batches concurrently, and collect their replies as
-// the next round's traffic. Returns the rounds executed and messages
+// deliver every pending message to its alive recipient, in ascending
+// recipient order and, per recipient, in send order, and collect the replies
+// as the next round's traffic. Returns the rounds executed and messages
 // delivered.
 func (e *Engine) runProtocol(pending []message) (rounds, msgs int) {
 	for len(pending) > 0 {
-		byDst := make(map[graph.NodeID][]message)
+		slices.SortStableFunc(pending, func(a, b message) int { return cmp.Compare(a.to, b.to) })
+		var next []message
+		delivered := 0
 		for _, m := range pending {
-			if _, alive := e.nodes[m.to]; !alive {
+			nd, alive := e.nodes[m.to]
+			if !alive {
 				continue // recipient died; the transport drops the message
 			}
-			byDst[m.to] = append(byDst[m.to], m)
+			next = append(next, nd.handle(e, m)...)
+			delivered++
 		}
-		if len(byDst) == 0 {
+		if delivered == 0 {
 			break
 		}
-		order := make([]graph.NodeID, 0, len(byDst))
-		for id := range byDst {
-			order = append(order, id)
-		}
-		slices.Sort(order)
-		for _, id := range order {
-			e.nodes[id].inbox <- byDst[id]
-			msgs += len(byDst[id])
-		}
-		pending = pending[:0]
-		for _, id := range order {
-			pending = append(pending, <-e.nodes[id].outbox...)
-		}
+		pending = next
 		rounds++
+		msgs += delivered
 	}
 	return rounds, msgs
 }
@@ -441,7 +413,7 @@ func (e *Engine) ValidateLocalViews() error {
 	g := e.st.Graph()
 	alive := g.Nodes()
 	if len(e.nodes) != len(alive) {
-		return fmt.Errorf("dist: %d node goroutines for %d alive nodes", len(e.nodes), len(alive))
+		return fmt.Errorf("dist: %d protocol nodes for %d alive nodes", len(e.nodes), len(alive))
 	}
 	for _, id := range alive {
 		if err := e.validateLocalView(g, id); err != nil {
@@ -456,31 +428,19 @@ func (e *Engine) ValidateLocalViews() error {
 func (e *Engine) validateLocalView(g *graph.Graph, id graph.NodeID) error {
 	nd, ok := e.nodes[id]
 	if !ok {
-		return fmt.Errorf("dist: alive node %d has no goroutine", id)
+		return fmt.Errorf("dist: alive node %d has no protocol node", id)
 	}
-	nbrs := g.Neighbors(id)
-	if len(nd.view) != len(nbrs) {
-		return fmt.Errorf("dist: node %d local view has %d neighbors, healed graph has %d",
-			id, len(nd.view), len(nbrs))
-	}
-	for _, w := range nbrs {
-		if _, seen := nd.view[w]; !seen {
-			return fmt.Errorf("dist: node %d is missing neighbor %d from its local view", id, w)
-		}
+	if nbrs := g.Neighbors(id); !slices.Equal(nd.view, nbrs) {
+		return fmt.Errorf("dist: node %d local view %v differs from its healed-graph neighbors %v",
+			id, nd.view, nbrs)
 	}
 	return nil
 }
 
-// Close stops every node goroutine and waits for them to exit. Idempotent;
-// mutating calls after Close return ErrClosed.
+// Close releases the protocol nodes. It is optional: the engine holds no
+// goroutines or other resources. Idempotent; mutating calls after Close
+// return ErrClosed.
 func (e *Engine) Close() {
-	if e.closed {
-		return
-	}
 	e.closed = true
-	for id := range e.nodes {
-		close(e.nodes[id].inbox)
-	}
-	e.nodes = map[graph.NodeID]*node{}
-	e.wg.Wait()
+	e.nodes = nil
 }

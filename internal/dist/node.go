@@ -7,23 +7,18 @@ import (
 	"github.com/xheal/xheal/internal/graph"
 )
 
-// node is one protocol participant: a goroutine owning a local view of its
-// incident edges, updated exclusively by the messages it receives (and the
-// edges it initiated itself). The engine synchronizes with it only through
-// the inbox/outbox channels, which also order all memory accesses.
+// node is one protocol participant's state: a local view of its incident
+// edges, updated exclusively by the messages it receives (and the edges it
+// initiated itself), and its role in the repair under way. The engine's
+// round loop calls handle on each recipient in turn.
 type node struct {
 	id   graph.NodeID
 	rank int64 // private random leader rank (options.WithSeed derived)
-	eng  *Engine
 
-	// inbox receives one batch of messages per round the node participates
-	// in; outbox returns the messages it emits for the next round. Closing
-	// inbox stops the goroutine.
-	inbox  chan []message
-	outbox chan []message
-
-	// view is the node's belief about its neighbor set.
-	view map[graph.NodeID]struct{}
+	// view is the node's belief about its neighbor set, sorted. It is the
+	// node's own copy, never the graph's storage, so ValidateLocalViews
+	// compares two independent records.
+	view []graph.NodeID
 
 	// wound is the state of the repair the node is currently part of.
 	wound *woundState
@@ -41,42 +36,20 @@ type woundState struct {
 	reports         []report     // neighborhoods gathered from the subtree
 }
 
-func newNode(id graph.NodeID, rank int64, eng *Engine) *node {
-	return &node{
-		id:     id,
-		rank:   rank,
-		eng:    eng,
-		inbox:  make(chan []message, 1),
-		outbox: make(chan []message, 1),
-		view:   make(map[graph.NodeID]struct{}),
-	}
-}
-
-// run is the goroutine body: process one round's batch, emit the replies.
-func (n *node) run() {
-	defer n.eng.wg.Done()
-	for batch := range n.inbox {
-		var out []message
-		for _, m := range batch {
-			out = append(out, n.handle(m)...)
-		}
-		n.outbox <- out
-	}
-}
-
 // handle processes one message and returns the messages to send next round.
-func (n *node) handle(m message) []message {
+// The engine hands the elected leader its repair plan.
+func (n *node) handle(e *Engine, m message) []message {
 	switch m.kind {
 	case msgHello:
-		n.view[m.subject] = struct{}{}
+		n.link(m.subject)
 		return nil
 	case msgDown:
-		return n.onDown(m)
+		return n.onDown(e, m)
 	case msgAggregate:
 		if n.wound == nil {
 			panic(fmt.Sprintf("dist: node %d received an aggregate outside a wound", n.id))
 		}
-		return n.onAggregate(m)
+		return n.onAggregate(e, m)
 	case msgGrant:
 		if n.wound == nil {
 			panic(fmt.Sprintf("dist: node %d received a grant outside a wound", n.id))
@@ -84,7 +57,7 @@ func (n *node) handle(m message) []message {
 		// The root gathered every wound member's report (including this
 		// node's own); the granted set replaces the local partial one.
 		n.wound.reports = m.reports
-		return n.lead()
+		return n.lead(e)
 	case msgEdgeUpdate:
 		n.apply(m.add, m.drop)
 		return nil
@@ -95,8 +68,8 @@ func (n *node) handle(m message) []message {
 // onDown starts this node's participation in the wound: drop the victim from
 // the view, take a bracket position over the roster, and begin the election
 // convergecast (leaves fire immediately).
-func (n *node) onDown(m message) []message {
-	delete(n.view, m.subject)
+func (n *node) onDown(e *Engine, m message) []message {
+	n.unlink(m.subject)
 	w := &woundState{
 		victim:   m.subject,
 		roster:   m.roster,
@@ -116,10 +89,10 @@ func (n *node) onDown(m message) []message {
 			w.pendingChildren++
 		}
 	}
-	w.reports = []report{{node: n.id, nbrs: n.viewList()}}
+	w.reports = []report{{node: n.id, nbrs: slices.Clone(n.view)}}
 	n.wound = w
 	if w.pendingChildren == 0 {
-		return n.finishAggregate()
+		return n.finishAggregate(e)
 	}
 	return nil
 }
@@ -127,7 +100,7 @@ func (n *node) onDown(m message) []message {
 // onAggregate folds a child's subtree result into this node's and, when the
 // last child has reported, forwards up the bracket (or resolves the election
 // at the root).
-func (n *node) onAggregate(m message) []message {
+func (n *node) onAggregate(e *Engine, m message) []message {
 	w := n.wound
 	if m.rank < w.bestRank || (m.rank == w.bestRank && m.subject < w.bestID) {
 		w.bestRank, w.bestID = m.rank, m.subject
@@ -137,14 +110,14 @@ func (n *node) onAggregate(m message) []message {
 	if w.pendingChildren > 0 {
 		return nil
 	}
-	return n.finishAggregate()
+	return n.finishAggregate(e)
 }
 
 // finishAggregate sends this subtree's result to the bracket parent, or, at
 // the root, grants leadership to the best-ranked member. Wound state stays
 // until the engine closes the wound: any member — even one whose aggregate
 // already went up — may still be granted leadership.
-func (n *node) finishAggregate() []message {
+func (n *node) finishAggregate(e *Engine) []message {
 	w := n.wound
 	if w.idx > 0 {
 		parent := w.roster[(w.idx-1)/2]
@@ -154,7 +127,7 @@ func (n *node) finishAggregate() []message {
 		}}
 	}
 	if w.bestID == n.id {
-		return n.lead()
+		return n.lead(e)
 	}
 	return []message{{
 		from: n.id, to: w.bestID, kind: msgGrant, reports: w.reports,
@@ -165,7 +138,7 @@ func (n *node) finishAggregate() []message {
 // compute the repair (Algorithm 3.1 on that state, delegated to
 // internal/core) and disseminate one edge update per affected node. The
 // leader's own changes apply directly.
-func (n *node) lead() []message {
+func (n *node) lead(e *Engine) []message {
 	w := n.wound
 	// The gathered reports are the state the leader heals from: every wound
 	// member must have reported, and none may still list the victim (its
@@ -182,7 +155,7 @@ func (n *node) lead() []message {
 			}
 		}
 	}
-	plan := n.eng.planFor(w.victim)
+	plan := e.planFor(w.victim)
 	recipients := make([]graph.NodeID, 0, len(plan.updates))
 	for id := range plan.updates {
 		recipients = append(recipients, id)
@@ -206,19 +179,23 @@ func (n *node) lead() []message {
 // apply commits an edge update to the local view.
 func (n *node) apply(add, drop []graph.NodeID) {
 	for _, w := range add {
-		n.view[w] = struct{}{}
+		n.link(w)
 	}
 	for _, w := range drop {
-		delete(n.view, w)
+		n.unlink(w)
 	}
 }
 
-// viewList returns the local view as a sorted slice (for reports).
-func (n *node) viewList() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(n.view))
-	for w := range n.view {
-		out = append(out, w)
+// link adds w to the local view; a known neighbor is left as is.
+func (n *node) link(w graph.NodeID) {
+	if i, found := slices.BinarySearch(n.view, w); !found {
+		n.view = slices.Insert(n.view, i, w)
 	}
-	slices.Sort(out)
-	return out
+}
+
+// unlink removes w from the local view, if present.
+func (n *node) unlink(w graph.NodeID) {
+	if i, found := slices.BinarySearch(n.view, w); found {
+		n.view = slices.Delete(n.view, i, i+1)
+	}
 }

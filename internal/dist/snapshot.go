@@ -70,11 +70,11 @@ func (e *Engine) Snapshot() *Snapshot {
 }
 
 // RestoreEngine rebuilds an engine from a snapshot: the reference state is
-// restored exactly, one goroutine per alive node is spawned with its
+// restored exactly, every alive node gets its protocol node back with its
 // recorded rank, and each node's local view is seeded from the healed
 // graph's neighbor sets (the protocol's own invariant between repairs). The
 // restored engine's future behavior is bit-identical to the snapshotted
-// original's. Close the engine when done.
+// original's.
 func RestoreEngine(snap *Snapshot) (*Engine, error) {
 	if snap == nil || snap.Core == nil {
 		return nil, fmt.Errorf("%w: nil", ErrBadSnapshot)
@@ -90,7 +90,6 @@ func RestoreEngine(snap *Snapshot) (*Engine, error) {
 	src.Skip(snap.RngDraws)
 	e := &Engine{
 		st:          st,
-		seed:        snap.Core.Seed,
 		src:         src,
 		rng:         rand.New(src),
 		nodes:       make(map[graph.NodeID]*node, len(snap.Ranks)),
@@ -110,13 +109,7 @@ func RestoreEngine(snap *Snapshot) (*Engine, error) {
 		if _, dup := e.nodes[nr.Node]; dup {
 			return nil, fmt.Errorf("%w: duplicate rank for node %d", ErrBadSnapshot, nr.Node)
 		}
-		nd := newNode(nr.Node, nr.Rank, e)
-		for _, w := range g.Neighbors(nr.Node) {
-			nd.view[w] = struct{}{}
-		}
-		e.nodes[nr.Node] = nd
-		e.wg.Add(1)
-		go nd.run()
+		e.nodes[nr.Node] = &node{id: nr.Node, rank: nr.Rank, view: slices.Clone(g.Neighbors(nr.Node))}
 	}
 	return e, nil
 }

@@ -115,8 +115,7 @@ func (sp *SpanPhases) stamp(p Phase) *float64 {
 //
 // Every method no-ops on a nil *Recorder — a nil recorder IS the disabled
 // state, and the hot path pays exactly one nil check per boundary. Methods
-// are safe for concurrent use (the distributed engine stamps PhaseElected
-// from a node goroutine).
+// are safe for concurrent use.
 type Recorder struct {
 	mu sync.Mutex
 

@@ -229,13 +229,11 @@ func Recover(rc RecoverConfig) (*Recovered, error) {
 
 	if tr != nil {
 		if rec.Events < tr.BaseEvents {
-			closeEngine(rec.Engine)
 			return nil, fmt.Errorf("%w: checkpoint at event %d predates compacted log base %d",
 				trace.ErrLogGap, rec.Events, tr.BaseEvents)
 		}
 		idx := rec.Events - tr.BaseEvents
 		if idx > uint64(len(tr.Events)) {
-			closeEngine(rec.Engine)
 			return nil, fmt.Errorf("%w: checkpoint at event %d is ahead of durable log end %d",
 				ErrRecoveryMismatch, rec.Events, tr.BaseEvents+uint64(len(tr.Events)))
 		}
@@ -243,7 +241,6 @@ func Recover(rc RecoverConfig) (*Recovered, error) {
 		for i, ev := range tr.Events[idx:] {
 			delta, err := applyLogged(rec.Engine, ev)
 			if err != nil {
-				closeEngine(rec.Engine)
 				return nil, fmt.Errorf("server: replay tail event %d: %w", i, err)
 			}
 			rec.Changes += deltaSize(delta)
@@ -253,7 +250,6 @@ func Recover(rc RecoverConfig) (*Recovered, error) {
 		}
 	}
 	if err := rec.Engine.CheckInvariants(); err != nil {
-		closeEngine(rec.Engine)
 		return nil, fmt.Errorf("server: recovered state: %w", err)
 	}
 	return rec, nil
@@ -278,7 +274,6 @@ func VerifyRecovery(recovered Engine, engineName, logDir string, kappa int, seed
 	if err != nil {
 		return err
 	}
-	defer closeEngine(fresh)
 	for i, ev := range full.Events {
 		if _, err := applyLogged(fresh, ev); err != nil {
 			return fmt.Errorf("server: genesis replay event %d: %w", i, err)
@@ -314,8 +309,7 @@ func applyLogged(eng Engine, ev trace.Event) (core.TickDelta, error) {
 }
 
 // NewEngine builds a fresh engine of the named kind (EngineCore or
-// EngineDist) over the genesis graph g0. A dist engine owns goroutines; the
-// caller closes it.
+// EngineDist) over the genesis graph g0.
 func NewEngine(name string, kappa int, seed int64, g0 *graph.Graph) (Engine, error) {
 	switch name {
 	case EngineCore:
@@ -351,12 +345,5 @@ func restoreEngine(name string, state []byte) (Engine, error) {
 		return dist.RestoreEngine(snap)
 	default:
 		return nil, fmt.Errorf("%w: unknown engine %q", ErrRecoveryMismatch, name)
-	}
-}
-
-// closeEngine shuts down engines that own goroutines (dist.Engine).
-func closeEngine(eng Engine) {
-	if c, ok := eng.(interface{ Close() }); ok {
-		c.Close()
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"github.com/xheal/xheal/internal/adversary"
 	"github.com/xheal/xheal/internal/checkpoint"
@@ -70,7 +69,6 @@ func applySched(t *testing.T, eng Engine, ev schedEvent) {
 func genServerSchedule(t *testing.T, engineName string, g0 *graph.Graph, steps int, seed int64) []schedEvent {
 	t.Helper()
 	eng := mustEngine(t, engineName, g0.Clone())
-	defer closeEngine(eng)
 	rng := rand.New(rand.NewSource(seed))
 	next := graph.NodeID(500000)
 	events := make([]schedEvent, 0, steps)
@@ -113,7 +111,6 @@ func snapshotBytes(t *testing.T, eng Engine) []byte {
 func longTailCrashPoint(t *testing.T, engineName string, g0 *graph.Graph, schedule []schedEvent, every int) int {
 	t.Helper()
 	eng := mustEngine(t, engineName, g0.Clone())
-	defer closeEngine(eng)
 	s := New(eng, Config{Checkpoints: checkpoint.NewMemStore(), CheckpointEvery: every})
 	defer s.Close()
 	for i, ev := range schedule {
@@ -158,7 +155,6 @@ func TestServerCrashRecoveryIdentity(t *testing.T) {
 			schedule := genServerSchedule(t, engineName, g0, steps, 101)
 
 			genesis := mustEngine(t, engineName, g0.Clone())
-			defer closeEngine(genesis)
 			for _, ev := range schedule {
 				applySched(t, genesis, ev)
 			}
@@ -208,7 +204,6 @@ func TestServerCrashRecoveryIdentity(t *testing.T) {
 				// directory, and disk holds what a SIGKILL would leave.
 				sA.crash()
 				fl.Close()
-				closeEngine(engA)
 				if cp.plantV1 {
 					name := filepath.Join(dir, "checkpoints", "ckpt-0000000000000002-0000000000000002.json")
 					if err := os.WriteFile(name, []byte(v1CheckpointFile), 0o644); err != nil {
@@ -274,9 +269,6 @@ func TestServerCrashRecoveryIdentity(t *testing.T) {
 				if got := snapshotBytes(t, rec2.Engine); !bytes.Equal(want, got) {
 					t.Fatalf("k=%d: clean-restart state diverged", k)
 				}
-
-				closeEngine(rec2.Engine)
-				closeEngine(rec.Engine)
 			}
 		})
 	}
@@ -284,8 +276,7 @@ func TestServerCrashRecoveryIdentity(t *testing.T) {
 
 // TestRecoverLogGapClosesEngine: a checkpoint older than the compacted log's
 // base fails recovery with ErrLogGap, and the engine restored from that
-// checkpoint is shut down on the way out — a dist engine owns one goroutine
-// per node.
+// checkpoint leaves no goroutine behind.
 func TestRecoverLogGapClosesEngine(t *testing.T) {
 	g0 := ringGraph(10)
 	store := checkpoint.NewMemStore()
@@ -294,7 +285,6 @@ func TestRecoverLogGapClosesEngine(t *testing.T) {
 		Version: checkpoint.Version, Engine: EngineDist, Kappa: 4, Seed: recoverySeed,
 		Genesis: GenesisDigest(g0), State: snapshotBytes(t, eng),
 	}
-	closeEngine(eng)
 	c.Seal()
 	if err := store.Save(c); err != nil {
 		t.Fatalf("save: %v", err)
@@ -316,15 +306,9 @@ func TestRecoverLogGapClosesEngine(t *testing.T) {
 	if !errors.Is(err, trace.ErrLogGap) {
 		t.Fatalf("Recover = %v, want ErrLogGap", err)
 	}
-	// Close waits for every node goroutine to signal exit; allow the
-	// scheduler a moment to retire them.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines before the failed Recover, %d after: the restored engine leaked",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before the failed Recover, %d after: the restored engine leaked",
+			before, after)
 	}
 }
 
@@ -358,22 +342,18 @@ func TestRecoverRejectsMismatchedRun(t *testing.T) {
 	}
 	// The matching genesis passes, as does a legacy checkpoint without a
 	// recorded digest.
-	if rec, err := Recover(RecoverConfig{Store: store, Engine: EngineCore, Kappa: 4,
+	if _, err := Recover(RecoverConfig{Store: store, Engine: EngineCore, Kappa: 4,
 		Seed: recoverySeed, Genesis: ringGraph(10)}); err != nil {
 		t.Fatalf("matched recovery: %v", err)
-	} else {
-		closeEngine(rec.Engine)
 	}
 	c.Genesis = ""
 	c.Seal()
 	if err := store.Save(c); err != nil {
 		t.Fatalf("save legacy: %v", err)
 	}
-	if rec, err := Recover(RecoverConfig{Store: store, Engine: EngineCore, Kappa: 4,
+	if _, err := Recover(RecoverConfig{Store: store, Engine: EngineCore, Kappa: 4,
 		Seed: recoverySeed, Genesis: ringGraph(12)}); err != nil {
 		t.Fatalf("legacy checkpoint without digest: %v", err)
-	} else {
-		closeEngine(rec.Engine)
 	}
 }
 

@@ -29,8 +29,8 @@ type (
 	Stats = core.Stats
 	// Healer is a pluggable self-healing algorithm (Xheal or a baseline).
 	Healer = baseline.Healer
-	// Distributed is the goroutine-per-node protocol engine implementing
-	// the paper's §5 with round and message accounting.
+	// Distributed is the message-passing protocol engine implementing the
+	// paper's §5 in synchronous rounds, with round and message accounting.
 	Distributed = dist.Engine
 	// DeletionCost is one distributed repair's measured cost (Theorem 5).
 	DeletionCost = dist.DeletionCost
@@ -125,8 +125,8 @@ func (n *Network) MeasureFast() Snapshot {
 }
 
 // NewDistributed builds the distributed protocol engine over a copy of the
-// initial topology: one goroutine per node, synchronous rounds, and message
-// accounting per the paper's §5. Close it when done.
+// initial topology: per-node protocol state, synchronous rounds, and message
+// accounting per the paper's §5. Close is optional.
 func NewDistributed(initial *Graph, opts ...Option) (*Distributed, error) {
 	cfg := buildConfig(opts)
 	return dist.NewEngine(dist.Config{Kappa: cfg.kappa, Seed: cfg.seed}, initial)
