@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 32, "durable mode: ticks between checkpoint opportunities (an image is written at one only once the graph has changed by its own size since the last)")
 	fs.BoolVar(&o.archiveLog, "archive-log", false, "durable mode: move compacted log segments to <data-dir>/log/archive instead of deleting (keeps from-genesis history)")
 	fs.BoolVar(&o.verifyRecovery, "verify-recovery", false, "durable mode: at startup, assert the recovered state is byte-identical to a from-genesis replay of the archived log")
-	fs.IntVar(&o.refreshEvery, "refresh-every", 32, "applied ticks between background refreshes of cached connectivity/lambda2/stretch")
+	fs.IntVar(&o.refreshEvery, "refresh-every", 32, "applied ticks between refresh opportunities for cached connectivity/lambda2/stretch (one is taken only once the graph has changed by its own size since the last refresh)")
 	fs.IntVar(&o.stretchSrcs, "stretch-sources", 4, "BFS source reservoir size for the sampled-stretch estimate")
 	fs.IntVar(&o.auditEvery, "audit-every", 0, "cross-check the incremental metrics against a full recomputation every this many ticks (0 = off); a divergence degrades /v1/health")
 	if err := fs.Parse(args); err != nil {

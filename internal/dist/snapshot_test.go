@@ -72,10 +72,9 @@ func applyDistEvent(t *testing.T, e *Engine, ev distEvent) {
 
 // TestEngineSnapshotRestoreIdentity is the distributed engine's
 // recovery-identity property: for every crash point k, running k events,
-// snapshotting through the binary wire form, restoring (which respawns one
-// goroutine per alive node with its recorded rank and a view rebuilt from the
-// healed graph), and running the tail must be byte-indistinguishable from the
-// uncrashed run.
+// snapshotting through the binary wire form, restoring (which rebuilds each
+// alive node's rank and view from the healed graph), and running the tail
+// must be byte-indistinguishable from the uncrashed run.
 func TestEngineSnapshotRestoreIdentity(t *testing.T) {
 	cfg := Config{Kappa: 4, Seed: 21}
 	g0, err := workload.RandomRegular(12, 2, rand.New(rand.NewSource(2)))

@@ -20,6 +20,8 @@
 //     the new node ordering, re-converges in a third of the cold step
 //     count. Refreshes are skipped entirely while the graph generation is
 //     unchanged; staleness (ticks since refresh) is exposed for /v1/health.
+//     The serving daemon decides when to refresh: an opportunity every
+//     RefreshEvery ticks, taken once change ≥ n + m since the last one.
 //
 //   - StretchSampler estimates the paper's stretch metric (Theorem 2.2)
 //     from a reservoir of BFS sources with cached distance arrays. Each

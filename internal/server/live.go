@@ -57,7 +57,8 @@ type liveState struct {
 }
 
 // LiveHealth is the incremental-metrics slice of a health snapshot: the
-// cached estimates plus how stale each one is, in applied ticks.
+// cached estimates plus how stale each one is, in applied ticks and in
+// structural change.
 type LiveHealth struct {
 	// Lambda2 is the cached algebraic connectivity estimate; valid once the
 	// first refresh lands. Lambda2AgeTicks is the number of ticks applied
@@ -79,6 +80,13 @@ type LiveHealth struct {
 	// ConnectivityAgeTicks is 0 while the connectivity verdict is exact and
 	// the number of ticks since it was last established otherwise.
 	ConnectivityAgeTicks uint64 `json:"connectivity_age_ticks"`
+	// ChangesSinceRefresh is the structural change (nodes and edges added or
+	// removed) applied since the graphs the caches were last refreshed from
+	// were copied; the whole structure before the first copy.
+	// RefreshDueAtChanges is the size it must reach for the next refresh
+	// opportunity to request a refresh: nodes + edges of the healed graph.
+	ChangesSinceRefresh uint64 `json:"changes_since_refresh"`
+	RefreshDueAtChanges uint64 `json:"refresh_due_at_changes"`
 	// Audit telemetry: full-recomputation checks of the tracker.
 	Audits        uint64 `json:"audits"`
 	AuditFailures uint64 `json:"audit_failures"`
@@ -107,10 +115,11 @@ func (l *liveState) requestRefresh() {
 }
 
 // refresher is the goroutine that re-establishes the expensive cached
-// metrics (connectivity, λ₂, sampled stretch) outside the apply lock. It
-// holds s.mu only long enough to copy the adjacency it needs into its own
-// buffers; the CSR builds, the traversals and the Lanczos run all work on
-// that copy.
+// metrics (connectivity, λ₂, sampled stretch) outside the apply lock, when
+// New seeds the caches and when a refresh opportunity finds the change since
+// the last copy due (see refreshSizeDivisor). It holds s.mu only long enough
+// to copy the adjacency it needs into its own buffers; the CSR builds, the
+// traversals and the Lanczos run all work on that copy.
 func (s *Server) refresher() {
 	defer close(s.live.refreshDone)
 	for {
@@ -140,6 +149,7 @@ func (s *Server) refreshOnce() {
 	s.mu.Lock()
 	held := time.Now()
 	job := s.copyForRefresh()
+	s.publish() // the counter copyForRefresh reset
 	s.mu.Unlock()
 	s.refreshLockHist.Observe(time.Since(held).Seconds())
 
@@ -159,12 +169,15 @@ func (s *Server) refreshOnce() {
 
 // copyForRefresh is the whole of a refresh that runs under s.mu: decide
 // what is stale, then copy the adjacency of G, and of G′ when a stretch
-// tree needs it, into the refresher's buffers. It costs one pass over each
-// graph and, once the buffers have grown to the graphs' size, allocates
-// nothing — no sort, no map and no CSR, which is what keeps an O(n) build
-// from stalling a tick. Caller holds s.mu and is the refresher.
+// tree needs it, into the refresher's buffers, and restart the refresh
+// rule's change counter, which from here on measures how far the graphs have
+// moved from this copy. It costs one pass over each graph and, once the
+// buffers have grown to the graphs' size, allocates nothing — no sort, no
+// map and no CSR, which is what keeps an O(n) build from stalling a tick.
+// Caller holds s.mu and is the refresher.
 func (s *Server) copyForRefresh() refreshJob {
 	l := s.live
+	s.refreshChanges = 0
 	g := s.eng.Graph()
 	tv := l.tracker.Values()
 	l2gen, l2ok := l.l2.Generation()
@@ -199,8 +212,8 @@ func (s *Server) auditLive() {
 }
 
 // liveHealth assembles the health snapshot from the caches.
-// Called without s.mu; c and logErr come from the published copy.
-func (s *Server) liveHealth(c Counters, logErr error) Health {
+// Called without s.mu; c is the counters of the published copy p.
+func (s *Server) liveHealth(p *published, c Counters) Health {
 	l := s.live
 	tv := l.tracker.Values()
 	lambda, l2tick, l2ok := l.l2.Value()
@@ -228,6 +241,8 @@ func (s *Server) liveHealth(c Counters, logErr error) Health {
 		Lambda2RefreshSeconds: l2stats.LastSeconds,
 		StretchValid:          stOk,
 		ConnectivityAgeTicks:  tv.ConnectivityAgeTicks,
+		ChangesSinceRefresh:   p.refreshChanges,
+		RefreshDueAtChanges:   p.refreshDue,
 		Audits:                tv.Audits,
 		AuditFailures:         tv.AuditFailures,
 		LastAuditTick:         tv.LastAuditTick,
@@ -247,8 +262,8 @@ func (s *Server) liveHealth(c Counters, logErr error) Health {
 	if !tv.Connected || tv.AuditFailures > 0 {
 		status = "degraded"
 	}
-	if logErr != nil {
-		status, logMsg = "degraded", logErr.Error()
+	if p.logErr != nil {
+		status, logMsg = "degraded", p.logErr.Error()
 	}
 	return Health{
 		Status:     status,

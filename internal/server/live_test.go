@@ -2,10 +2,14 @@ package server
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/xheal/xheal/internal/adversary"
+	"github.com/xheal/xheal/internal/core"
+	"github.com/xheal/xheal/internal/graph"
+	"github.com/xheal/xheal/internal/workload"
 )
 
 // TestLiveHealthIntegration drives the daemon with churn and checks the
@@ -66,5 +70,94 @@ func TestLiveHealthIntegration(t *testing.T) {
 	}
 	if h.Connected != st.Graph().IsConnected() {
 		t.Fatalf("tracked connectivity %v, graph %v", h.Connected, st.Graph().IsConnected())
+	}
+}
+
+// TestRefreshIsPaidByChange pins the refresh rule: an opportunity (every
+// RefreshEvery ticks) requests a refresh only once the structural change
+// since the refresher's last copy has reached nodes + edges of the healed
+// graph. A twin core.State applies the same events, so the test knows the
+// change of every tick and the exact opportunity at which the rule fires.
+func TestRefreshIsPaidByChange(t *testing.T) {
+	const n, every = 500, 4
+	genesis := func() *graph.Graph {
+		g, err := workload.RandomRegular(n, 2, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	s, _ := newSeqServer(t, genesis(), Config{RefreshEvery: every})
+	defer s.Close()
+	twin, err := core.NewState(core.Config{Kappa: 4, Seed: 11}, genesis())
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() uint64 { return uint64(twin.Graph().NumNodes() + twin.Graph().NumEdges()) }
+
+	// The seeding refresh copies the genesis and restarts the counter.
+	awaitLive(t, s, func(l *LiveHealth) bool {
+		return l.Lambda2Refreshes == 1 && l.ChangesSinceRefresh == 0
+	})
+
+	rng := rand.New(rand.NewSource(6))
+	var sum uint64
+	for tick := 1; ; tick++ {
+		nbrs := make([]graph.NodeID, 0, 4)
+		for _, i := range rng.Perm(n)[:4] {
+			nbrs = append(nbrs, graph.NodeID(i))
+		}
+		node := graph.NodeID(1000 + tick)
+		delta, err := twin.ApplyBatchDelta(core.Batch{
+			Insertions: []core.BatchInsertion{{Node: node, Neighbors: nbrs}},
+		}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += deltaSize(delta)
+		ev := adversary.Event{Kind: adversary.Insert, Node: node, Neighbors: nbrs}
+		if err := s.Submit(context.Background(), ev); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		if tick%every == 0 && sum >= size() {
+			if tick < 10*every {
+				t.Fatalf("rule fired after %d ticks; want many opportunities below it first", tick)
+			}
+			t.Logf("due at tick %d: change %d ≥ n + m = %d", tick, sum, size())
+			break
+		}
+		l := s.Health().Live
+		if l.Lambda2Refreshes != 1 || l.ChangesSinceRefresh != sum || l.RefreshDueAtChanges != size() {
+			t.Fatalf("tick %d, change %d of %d: refreshes %d, changes_since_refresh %d, due %d",
+				tick, sum, size(), l.Lambda2Refreshes, l.ChangesSinceRefresh, l.RefreshDueAtChanges)
+		}
+	}
+
+	// The opportunity that crossed the threshold requests exactly one refresh,
+	// whose copy restarts the counter.
+	l := awaitLive(t, s, func(l *LiveHealth) bool {
+		if l.Lambda2Refreshes > 2 {
+			t.Fatalf("%d refreshes after one due opportunity", l.Lambda2Refreshes)
+		}
+		return l.Lambda2Refreshes == 2 && l.ChangesSinceRefresh == 0
+	})
+	if l.RefreshDueAtChanges != size() {
+		t.Fatalf("due at %d, want n + m = %d", l.RefreshDueAtChanges, size())
+	}
+}
+
+// awaitLive polls Health until ok accepts its live section.
+func awaitLive(t *testing.T, s *Server, ok func(*LiveHealth) bool) *LiveHealth {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		l := s.Health().Live
+		if ok(l) {
+			return l
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("live health never reached the expected state: %+v", l)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

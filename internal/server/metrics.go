@@ -81,6 +81,10 @@ func (s *Server) buildRegistry() {
 			}
 			return float64(l.tracker.Values().Ticks - asOf)
 		})
+	reg.Gauge("xheal_serve_changes_since_refresh", "Structural change (nodes and edges added or removed) applied since the graphs the cached estimates were last refreshed from.",
+		func() float64 { return float64(s.pub.Load().refreshChanges) })
+	reg.Gauge("xheal_serve_refresh_due_at_changes", "Change at which the next refresh opportunity refreshes the cached estimates: nodes + edges of the healed graph.",
+		func() float64 { return float64(s.pub.Load().refreshDue) })
 	reg.Counter("xheal_serve_lambda2_refreshes_total", "Lanczos runs performed by the refresher.",
 		func() float64 { return float64(l.l2.Stats().Refreshes) })
 	reg.Counter("xheal_serve_lambda2_warm_refreshes_total", "Lanczos runs warm-started from the previous Ritz vector.",

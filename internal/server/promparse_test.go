@@ -357,6 +357,8 @@ func TestMetricsExpositionStrict(t *testing.T) {
 		"xheal_serve_max_degree_ratio":             "gauge",
 		"xheal_serve_lambda2":                      "gauge",
 		"xheal_serve_lambda2_age_ticks":            "gauge",
+		"xheal_serve_changes_since_refresh":        "gauge",
+		"xheal_serve_refresh_due_at_changes":       "gauge",
 		"xheal_serve_lambda2_refreshes_total":      "counter",
 		"xheal_serve_lambda2_warm_refreshes_total": "counter",
 		"xheal_serve_stretch_sampled":              "gauge",

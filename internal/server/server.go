@@ -117,10 +117,12 @@ type Config struct {
 	// Deprecated: kept only because the frozen benchmark/traced.go sets it;
 	// ROADMAP item 4(i) removes that use, and this field with it.
 	Parallelism int
-	// RefreshEvery is the cadence, in applied ticks, at which the refresher
-	// goroutine re-establishes the expensive cached metrics: connectivity
-	// (when stale), warm-started λ₂, and dirty sampled-stretch trees
-	// (default 32).
+	// RefreshEvery spaces the refresh opportunities, in applied ticks
+	// (default 32). An opportunity is taken once the structural change since
+	// the last refresh has reached n + m (see refreshSizeDivisor); the
+	// refresher goroutine then re-establishes the expensive cached metrics:
+	// connectivity (when stale), warm-started λ₂, and dirty or over-age
+	// sampled-stretch trees.
 	RefreshEvery int
 	// StretchSources sizes the sampled-stretch BFS source reservoir
 	// (default 4).
@@ -233,8 +235,22 @@ func (c Config) checkpointEvery() uint64 {
 // writes proportionally more.
 const checkpointSizeDivisor = 1
 
-// deltaSize is the structural change of one tick as the checkpoint rule
-// counts it.
+// refreshSizeDivisor is the same rule for the refresher's O(n + m) job —
+// connectivity BFS, λ₂ Lanczos and stretch trees over CSRs of G and G′: at a
+// refresh opportunity it runs once the change since the graphs it last copied
+// has reached nodes + edges of the healed graph, divided by this. With the
+// default spacing of 32 ticks, the change per opportunity measured in the
+// benchmark's traced pass (seed 1) is about 15 000 against n + m of
+// 300 000–340 000 on churn64-100k and 235 against 30 000 on churn1-10k (no
+// opportunity in the window is due), 15 000 against 33 000–67 000 on
+// churn64-10k (every third or fourth is) and 3 000–75 000 against
+// 7 700–10 500 on regionfail16-2500 (11 of 14 are). So a refresh costs O(1)
+// per unit of change at every n, and the estimates are never more than
+// about one structure's worth of change old, plus one opportunity's spacing.
+const refreshSizeDivisor = 1
+
+// deltaSize is the structural change of one tick as the checkpoint and
+// refresh rules count it.
 func deltaSize(d core.TickDelta) uint64 {
 	return uint64(len(d.NodesAdded) + len(d.NodesRemoved) +
 		len(d.EdgesAdded) + len(d.EdgesRemoved) + len(d.BaselineEdges))
@@ -247,6 +263,11 @@ func structureSize(eng Engine) uint64 {
 	g := eng.Graph()
 	return uint64(g.NumNodes() + g.NumEdges())
 }
+
+// dueAt is the amortisation rule every O(n + m) job on the serving path
+// shares: the accumulated change at which an opportunity runs the job, the
+// structure's size divided by the job's divisor. Caller owns the engine.
+func dueAt(eng Engine, divisor uint64) uint64 { return structureSize(eng) / divisor }
 
 func (c Config) refreshEvery() uint64 {
 	if c.RefreshEvery > 0 {
@@ -262,8 +283,9 @@ func (c Config) stretchSources() int {
 	return 4
 }
 
-// stretchMaxAge bounds how many ticks a cached stretch tree may serve
-// without a rebuild even when no delta touched it.
+// stretchMaxAge is the age in ticks past which a refresh rebuilds a cached
+// stretch tree even when no delta touched it. An over-age tree starts no
+// refresh: refreshes fall due by change alone (see refreshSizeDivisor).
 func (c Config) stretchMaxAge() uint64 { return 8 * c.refreshEvery() }
 
 // Counters are the serving-work counters, readable via Counters or the
@@ -323,10 +345,12 @@ type Server struct {
 	logErr       error
 	liveAuditErr error
 	// changes is the structural change applied since the newest image (see
-	// checkpointSizeDivisor); replies are the tick's verdicts, held back
-	// until the tick's counters are published.
-	changes uint64
-	replies []reply
+	// checkpointSizeDivisor); refreshChanges is the change since the graphs
+	// the refresher last copied (see refreshSizeDivisor); replies are the
+	// tick's verdicts, held back until the tick's counters are published.
+	changes        uint64
+	refreshChanges uint64
+	replies        []reply
 
 	// pub is the loop's state as readers see it; see published.
 	pub atomic.Pointer[published]
@@ -376,7 +400,7 @@ type reply struct {
 
 // published is the loop's state as everyone else sees it: an immutable copy
 // the loop swaps in before the first ack of every tick, after a checkpoint,
-// and when the event log fails. Health, Counters, liveAuditError and every
+// and when the event log fails (and the refresher after each copy). Health, Counters, liveAuditError and every
 // /metrics closure read it and never take s.mu, so a poll never queues
 // behind a tick, a checkpoint or the refresher's graph copy. What a reader
 // sees may lag the loop by the tick in progress, never by an acknowledged
@@ -386,25 +410,33 @@ type published struct {
 	logErr       error
 	liveAuditErr error
 	// changes is Server.changes; due is the size it has to reach for the
-	// next opportunity to take an image.
-	changes, due uint64
+	// next opportunity to take an image. refreshChanges and refreshDue are
+	// the same pair for the refresh rule.
+	changes, due               uint64
+	refreshChanges, refreshDue uint64
 }
 
 // publish swaps in a fresh copy of the loop's state. Caller holds s.mu (or
 // is New, before the loop starts).
 func (s *Server) publish() {
 	s.pub.Store(&published{
-		counters:     s.counters,
-		logErr:       s.logErr,
-		liveAuditErr: s.liveAuditErr,
-		changes:      s.changes,
-		due:          s.imageDueAt(),
+		counters:       s.counters,
+		logErr:         s.logErr,
+		liveAuditErr:   s.liveAuditErr,
+		changes:        s.changes,
+		due:            s.imageDueAt(),
+		refreshChanges: s.refreshChanges,
+		refreshDue:     s.refreshDueAt(),
 	})
 }
 
 // imageDueAt is the accumulated change at which a checkpoint opportunity
 // takes an image. Caller owns the engine.
-func (s *Server) imageDueAt() uint64 { return structureSize(s.eng) / checkpointSizeDivisor }
+func (s *Server) imageDueAt() uint64 { return dueAt(s.eng, checkpointSizeDivisor) }
+
+// refreshDueAt is the accumulated change at which a refresh opportunity
+// requests a refresh. Caller owns the engine.
+func (s *Server) refreshDueAt() uint64 { return dueAt(s.eng, refreshSizeDivisor) }
 
 // New starts the daemon over eng. The engine must not be touched by anyone
 // else until Close returns (the server owns it, including reads).
@@ -430,6 +462,9 @@ func New(eng Engine, cfg Config) *Server {
 		// structure has grown by since was counted as change).
 		s.changes = structureSize(eng)
 	}
+	// The caches have been built from nothing yet, so all of the structure
+	// counts as change until the seeding refresh below copies it.
+	s.refreshChanges = structureSize(eng)
 	if cfg.Recorder != nil {
 		eng.SetRecorder(cfg.Recorder)
 	}
@@ -751,12 +786,14 @@ func (s *Server) tick(pending []*submission) (opportunity bool) {
 
 	s.live.tracker.Apply(delta)
 	s.live.stretch.Observe(delta)
-	s.changes += deltaSize(delta)
+	change := deltaSize(delta)
+	s.changes += change
+	s.refreshChanges += change
 	s.counters.Ticks++
 	if s.cfg.AuditEvery > 0 && s.counters.Ticks%uint64(s.cfg.AuditEvery) == 0 {
 		s.auditLive()
 	}
-	if s.counters.Ticks%s.cfg.refreshEvery() == 0 {
+	if s.counters.Ticks%s.cfg.refreshEvery() == 0 && s.refreshChanges >= s.refreshDueAt() {
 		s.live.requestRefresh()
 	}
 	s.counters.ApplySeconds += applied.Seconds()
@@ -919,7 +956,7 @@ func (s *Server) Health() Health {
 	p := s.pub.Load()
 	c := s.countersOf(p)
 
-	h := s.liveHealth(c, p.logErr)
+	h := s.liveHealth(p, c)
 	h.UptimeSeconds = time.Since(s.start).Seconds()
 
 	h.Obs = ObsHealth{TickLatency: s.tickHist.Snapshot().Summary()}
